@@ -167,9 +167,10 @@ let run_cartel_requests t rng ~requests =
     let params =
       match req with
       | Cweb.Drives ->
-          (* mostly own drives, sometimes a friend's *)
+          (* mostly own drives, sometimes a friend's: [build_cartel]
+             has user u-1 delegate their drives tag to u *)
           if Rng.int rng 4 = 0 then
-            [ ("target", string_of_int ((user + 1) mod users)) ]
+            [ ("target", string_of_int ((user + users - 1) mod users)) ]
           else []
       | Cweb.Get_cars | Cweb.Cars | Cweb.Drives_top | Cweb.Friends
       | Cweb.Edit_account ->
@@ -1232,149 +1233,6 @@ let ablations () =
   ablation_join_strategy ()
 
 (* ------------------------------------------------------------------ *)
-(* Label-sharded storage: partition pruning by construction (PR 7)     *)
-(* ------------------------------------------------------------------ *)
-
-(* CarTel-shaped multi-label scans under both storage layouts.  The
-   flat layout decides the confinement verdict per tuple (memoized per
-   label, but still one probe per row); the partitioned layout decides
-   it once per label partition and never visits pruned pages.  Two
-   reader shapes bracket the design space:
-
-   - [own]: a single user reading their own telemetry — the website's
-     dominant query.  Under partitioning the scan touches 1/groups of
-     the heap; pruning does all the work, so this is where partitioned
-     must beat flat even at parallelism 1.
-   - [fleet]: an analyst under the covering compound reading every
-     partition — the worst case for partitioning (nothing prunes, the
-     k-way merge is pure overhead), included honestly.
-
-   Swept over partition count x domains, layouts interleaved per cell
-   so allocator drift hits both equally. *)
-let partition_sweep () =
-  hr "Label-sharded storage: partition-count x domain sweep (PR 7)";
-  let rows = if !quick then 8_000 else 40_000 in
-  let scans = if !quick then 6 else 15 in
-  let group_counts = if !quick then [ 4; 16 ] else [ 4; 16; 64 ] in
-  let domain_counts = if !quick then [ 1; 2 ] else [ 1; 2; 4 ] in
-  let build ~partitioned ~parallelism ~groups =
-    let db = Db.create ~partitioned ~parallelism () in
-    let admin = Db.connect_admin db in
-    let all_drives = Db.create_tag admin ~name:"all_drives" () in
-    let users =
-      Array.init groups (fun i ->
-          Db.create_tag admin
-            ~name:(Printf.sprintf "user%d" i)
-            ~compounds:[ all_drives ] ())
-    in
-    ignore (Db.exec admin "CREATE TABLE drives (id INT PRIMARY KEY, mi INT)");
-    Array.iteri
-      (fun g tag ->
-        let w = Db.connect_admin db in
-        Db.add_secrecy w tag;
-        ignore (Db.exec w "BEGIN");
-        let per = rows / groups in
-        let i = ref 0 in
-        while !i < per do
-          let n = min 500 (per - !i) in
-          let values =
-            String.concat ", "
-              (List.init n (fun j ->
-                   let id = (g * per) + !i + j in
-                   Printf.sprintf "(%d, %d)" id (id mod 97)))
-          in
-          ignore (Db.exec w ("INSERT INTO drives VALUES " ^ values));
-          i := !i + n
-        done;
-        ignore (Db.exec w "COMMIT"))
-      users;
-    let own = Db.connect_admin db in
-    Db.add_secrecy own users.(0);
-    let fleet = Db.connect_admin db in
-    Db.add_secrecy fleet all_drives;
-    (db, own, fleet)
-  in
-  let q = "SELECT COUNT(*), SUM(mi) FROM drives" in
-  let time_scan db session =
-    ignore (Db.query session q);
-    (* warm: flow verdicts, per-partition trees *)
-    let best = ref infinity in
-    let pruned0 = Db.partitions_pruned db in
-    for _ = 1 to 3 do
-      Gc.full_major ();
-      let t0 = now () in
-      for _ = 1 to scans do
-        ignore (Db.query session q)
-      done;
-      best := Float.min !best ((now () -. t0) /. float_of_int scans *. 1e3)
-    done;
-    let pruned =
-      (Db.partitions_pruned db - pruned0) / (3 * scans)
-    in
-    (!best, pruned)
-  in
-  Printf.printf "%d rows; available cores: %d\n" rows
-    (Domain.recommended_domain_count ());
-  Printf.printf "%-7s %8s %8s %12s %12s %10s %8s\n" "query" "groups" "domains"
-    "flat ms" "sharded ms" "speedup" "pruned";
-  (* (groups, domains, query) -> (flat_ms, part_ms) for the acceptance
-     line *)
-  let cells = Hashtbl.create 32 in
-  List.iter
-    (fun groups ->
-      List.iter
-        (fun domains ->
-          let fdb, fown, ffleet =
-            build ~partitioned:false ~parallelism:domains ~groups
-          in
-          let pdb, pown, pfleet =
-            build ~partitioned:true ~parallelism:domains ~groups
-          in
-          List.iter
-            (fun (qname, fs, ps) ->
-              let flat_ms, _ = time_scan fdb fs in
-              let part_ms, pruned = time_scan pdb ps in
-              Hashtbl.replace cells (groups, domains, qname)
-                (flat_ms, part_ms);
-              Printf.printf "%-7s %8d %8d %12.3f %12.3f %9.2fx %8d\n%!" qname
-                groups domains flat_ms part_ms (flat_ms /. part_ms) pruned;
-              record_json
-                [
-                  ("workload", jstr "partition");
-                  ("query", jstr qname);
-                  ("groups", jint groups);
-                  ("domains", jint domains);
-                  ("rows", jint rows);
-                  ("ms_flat", jfloat flat_ms);
-                  ("ms_partitioned", jfloat part_ms);
-                  ("speedup", jfloat (flat_ms /. part_ms));
-                  ("partitions_pruned_per_scan", jint pruned);
-                  ("metrics", metrics_json pdb);
-                ])
-            [ ("own", fown, pown); ("fleet", ffleet, pfleet) ])
-        domain_counts)
-    group_counts;
-  (* acceptance: at parallelism 1 — pruning alone, no domains to hide
-     behind — the sharded layout must win the single-user scan on the
-     largest sweep point, and prune counts must be visible in JSON *)
-  let g = List.fold_left max 4 group_counts in
-  match Hashtbl.find_opt cells (g, 1, "own") with
-  | Some (flat_ms, part_ms) ->
-      Printf.printf
-        "\nacceptance: own-partition scan, %d groups, 1 domain: flat %.3f ms \
-         vs sharded %.3f ms (sharded faster: %b)\n"
-        g flat_ms part_ms (part_ms < flat_ms);
-      record_json
-        [
-          ("workload", jstr "partition_acceptance");
-          ("groups", jint g);
-          ("ms_flat", jfloat flat_ms);
-          ("ms_partitioned", jfloat part_ms);
-          ("partitioned_faster", if part_ms < flat_ms then "true" else "false");
-        ]
-  | None -> ()
-
-(* ------------------------------------------------------------------ *)
 (* Prepared statements + plan cache (PR 8)                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -1753,8 +1611,7 @@ let micro () =
 
 let all =
   [ "fig3"; "fig4"; "fig5"; "sensor"; "fig6"; "ablations"; "labelcache";
-    "parallel"; "partition"; "writepath"; "views"; "obs"; "prepared"; "spans";
-    "micro" ]
+    "parallel"; "writepath"; "views"; "obs"; "prepared"; "spans"; "micro" ]
 
 let run_one = function
   | "fig3" -> fig3 ()
@@ -1765,7 +1622,6 @@ let run_one = function
   | "ablations" -> ablations ()
   | "labelcache" -> ablation_labelcache ()
   | "parallel" -> parallel_sweep ()
-  | "partition" -> partition_sweep ()
   | "writepath" -> writepath ()
   | "views" -> views ()
   | "obs" -> ablation_metrics ()

@@ -283,9 +283,7 @@ let run_command st line =
       match report with
       | [] -> print_endline "no partitions (empty tables hold none)"
       | tables ->
-          Printf.printf "layout: %s; %d partition(s) pruned from scans so far\n"
-            (if Db.partitioned st.db then "label-sharded" else
-               "flat (directory only)")
+          Printf.printf "%d partition(s) pruned from scans so far\n"
             (Db.partitions_pruned st.db);
           let lstore = Db.label_store st.db in
           List.iter

@@ -9,7 +9,6 @@ module Schema = Ifdb_rel.Schema
 module Expr = Ifdb_rel.Expr
 module Datatype = Ifdb_rel.Datatype
 module Heap = Ifdb_storage.Heap
-module Btree = Ifdb_storage.Btree
 module Buffer_pool = Ifdb_storage.Buffer_pool
 module Wal = Ifdb_storage.Wal
 module Manager = Ifdb_txn.Manager
@@ -136,9 +135,6 @@ and t = {
   parallelism : int;
       (* domains used per query (caller included); 1 = serial *)
   morsel : int; (* slots per morsel for parallel sequential scans *)
-  partitioned : bool;
-      (* label-sharded storage: scans enumerate heap partitions whose
-         label flows to the session instead of filtering per tuple *)
   pruned_parts : int Atomic.t;
       (* partitions pruned from scans by label confinement (atomic:
          bumped from parallel scan setup too) *)
@@ -218,7 +214,6 @@ let audit_log t = t.audit
 let view_stats t = Ivm.stats t.ivm
 let slow_queries ?(n = 20) t = Trace.slow_log_recent t.slow n
 let spans t = t.spans
-let partitioned t = t.partitioned
 let partitions_pruned t = Atomic.get t.pruned_parts
 
 type table_partitions = {
@@ -443,28 +438,6 @@ let current_txn s what =
   | Some txn -> txn
   | None -> Errors.sql "%s outside a transaction" what
 
-(* The single enforcement point for reads: the Label Confinement Rule
-   (section 4.2).  Every scan — sequential or index-assisted, direct or
-   through views — obtains its label filter here.
-
-   The destination label [s_label ∪ extra] is invariant over a scan, so
-   it is unioned and interned once, not per tuple.  Verdicts are decided
-   per distinct {e label id}, not per tuple: a per-scan table memoizes
-   (tuple-label-id -> visible?), backed by the store's generation-
-   stamped flow cache, so a million-tuple scan over k distinct labels
-   performs k flow derivations (or k cache probes), and every other
-   tuple costs one integer hash lookup.  With [prewarm], the heap's
-   label-partition counts seed the memo up front so scans over
-   label-skewed data take the per-group verdict before touching tuples
-   (the pruning analogue of the paper's 4-byte [_label] column,
-   section 7.1).
-
-   The second component of the result is the static-analysis fact the
-   prewarm pass proves as a side effect: [false] means {e no} live
-   partition of this heap can flow to the destination label, so the
-   scan provably returns nothing and the caller may skip it without
-   touching a page.  Uninterned partitions (and skipped prewarms) keep
-   it [true]. *)
 (* When an EXPLAIN ANALYZE trace is active, wrap a scan's label filter
    so every confinement decision is tallied per table.  Atomic counters
    make one wrapper safe for both the serial and the morsel-parallel
@@ -486,63 +459,28 @@ let trace_scan_skipped s ~heap =
   | Some tr ->
       Atomic.incr (Trace.scan_entry tr (Heap.name heap)).Trace.sc_skipped
 
-let scan_label_filter s ~heap ~extra ~prewarm : (Heap.version -> bool) * bool =
-  let db = s.sdb in
-  if not db.ifc then ((fun _ -> true), true)
-  else begin
-    let store = db.lstore in
-    let dst = Label.union s.s_label extra in
-    let dst_id = Label_store.intern store dst in
-    let verdicts : (int, bool) Hashtbl.t = Hashtbl.create 8 in
-    let decide lid =
-      match Hashtbl.find_opt verdicts lid with
-      | Some b -> b
-      | None ->
-          let b = Label_store.flows_id store ~src:lid ~dst:dst_id in
-          Hashtbl.add verdicts lid b;
-          b
-    in
-    let any_visible = ref (not prewarm) in
-    if prewarm then
-      Heap.iter_label_counts heap (fun lid _count ->
-          if lid >= 0 then begin
-            if decide lid then any_visible := true
-          end
-          else any_visible := true);
-    (* runs of identically-labeled tuples (the common physical layout)
-       reduce to one integer compare per tuple *)
-    let last_lid = ref min_int and last_verdict = ref false in
-    ( trace_scan_filter s ~heap (fun (v : Heap.version) ->
-          let lid = Tuple.label_id v.Heap.tuple in
-          if lid >= 0 then
-            if lid = !last_lid then !last_verdict
-            else begin
-              let b = decide lid in
-              last_lid := lid;
-              last_verdict := b;
-              b
-            end
-          else
-            (* uninterned tuple (built outside the statement path): fall
-               back to the raw-label derivation *)
-            Authority.flows db.auth ~src:(Tuple.label v.Heap.tuple) ~dst),
-      !any_visible )
-  end
+(* The single enforcement point for reads: the Label Confinement Rule
+   (section 4.2).  Every scan — sequential, morsel-parallel or
+   index-assisted, direct or through views — obtains its label filter
+   here.
 
-(* Partitioned-scan analogue of [scan_label_filter]: decide every label
-   partition of the heap once against the destination label and freeze
-   the keep-set a merged scan will enumerate.  The per-tuple verdict
-   probe disappears from the hot path — a pruned partition's slots and
-   pages are simply never visited — and the returned residual filter
-   only re-derives flows for uninterned tuples (built outside the
-   statement path), which a partitioned database does not normally
-   hold.  The residual keeps no per-call mutable state, so one closure
-   serves the serial and the morsel-parallel paths alike.
+   The destination label [s_label ∪ extra] is invariant over a scan, so
+   it is unioned and interned once.  Every label partition of the heap
+   is then decided once against it, and the keep-set a merged scan will
+   enumerate is frozen: a pruned partition's slots and pages are never
+   visited, so a scan over k distinct labels performs k flow
+   derivations (or k flow-cache probes) and no per-tuple verdict.  The
+   returned residual filter only re-derives flows for uninterned tuples
+   (label id -1, built outside the statement path).  It keeps no
+   per-call mutable state, so one closure serves the serial and the
+   morsel-parallel paths alike.
 
    Returns (keep, residual, any_visible, visited): [keep] is frozen
-   membership for the merged-scan primitives, [visited] the label ids
-   whose partitions the scan will read (its serializability
-   footprint). *)
+   membership for the merged-scan primitives; [any_visible] is [false]
+   when no live partition can flow to the destination, so the scan
+   provably returns nothing and the caller may skip it without touching
+   a page; [visited] lists the label ids whose partitions the scan will
+   read (its serializability footprint). *)
 let partition_scan_filter s ~heap ~extra :
     (int -> bool) * (Heap.version -> bool) * bool * int list =
   let db = s.sdb in
@@ -606,75 +544,18 @@ let scan_versions s ~table ~extra : Heap.version Seq.t =
   let txn = current_txn s "scan" in
   let tbl = Catalog.table s.sdb.cat table in
   let heap = tbl.Catalog.tbl_heap in
-  if s.sdb.partitioned then begin
-    let keep, residual, any_visible, visited =
-      partition_scan_filter s ~heap ~extra
-    in
-    note_partition_reads s txn heap visited;
-    if not any_visible then begin
-      trace_scan_skipped s ~heap;
-      Seq.empty
-    end
-    else
-      Seq.filter
-        (fun v -> Manager.visible s.sdb.mgr txn v && residual v)
-        (Heap.seq_merge heap ~keep)
+  let keep, residual, any_visible, visited =
+    partition_scan_filter s ~heap ~extra
+  in
+  note_partition_reads s txn heap visited;
+  if not any_visible then begin
+    trace_scan_skipped s ~heap;
+    Seq.empty
   end
-  else begin
-    (* the read must be noted even when the scan is pruned away: under
-       serializable locking an invisible-today partition may be written
-       by a concurrent transaction, and the conflict check needs this
-       read in the footprint *)
-    Manager.note_read s.sdb.mgr txn (Heap.name heap);
-    let readable, any_visible =
-      scan_label_filter s ~heap ~extra ~prewarm:true
-    in
-    if not any_visible then begin
-      trace_scan_skipped s ~heap;
-      Seq.empty
-    end
-    else
-      Seq.filter
-        (fun v -> Manager.visible s.sdb.mgr txn v && readable v)
-        (Heap.to_seq heap)
-  end
-
-(* Label filter for morsel-parallel scans.  Confinement still lives
-   only here, at the tuple access layer — workers never see a tuple the
-   serial scan would hide.  Unlike [scan_label_filter], the returned
-   closure is shared by several domains, so it keeps no mutable
-   fast-path state: every label-id partition is decided {e serially,
-   before workers launch} (the heap's label counts cover every live
-   slot), and worker-side probes are lock-free reads of that frozen
-   table.  The fallbacks ([flows_id] for an id interned mid-scan,
-   [Authority.flows] for uninterned tuples) are themselves
-   thread-safe. *)
-let par_scan_filter s ~heap ~extra : (Heap.version -> bool) * bool =
-  let db = s.sdb in
-  if not db.ifc then ((fun _ -> true), true)
-  else begin
-    let store = db.lstore in
-    let dst = Label.union s.s_label extra in
-    let dst_id = Label_store.intern store dst in
-    let verdicts : (int, bool) Hashtbl.t = Hashtbl.create 8 in
-    let any_visible = ref false in
-    Heap.iter_label_counts heap (fun lid _count ->
-        if lid >= 0 then begin
-          (if not (Hashtbl.mem verdicts lid) then
-             Hashtbl.add verdicts lid
-               (Label_store.flows_id store ~src:lid ~dst:dst_id));
-          if Hashtbl.find verdicts lid then any_visible := true
-        end
-        else any_visible := true);
-    ( trace_scan_filter s ~heap (fun (v : Heap.version) ->
-          let lid = Tuple.label_id v.Heap.tuple in
-          if lid >= 0 then
-            match Hashtbl.find_opt verdicts lid with
-            | Some b -> b
-            | None -> Label_store.flows_id store ~src:lid ~dst:dst_id
-          else Authority.flows db.auth ~src:(Tuple.label v.Heap.tuple) ~dst),
-      !any_visible )
-  end
+  else
+    Seq.filter
+      (fun v -> Manager.visible s.sdb.mgr txn v && residual v)
+      (Heap.seq_merge heap ~keep)
 
 (* Cut a table into morsels for the parallel executor.  Returns [None]
    for tables too small to amortize the fork/join barrier — the
@@ -688,7 +569,7 @@ let morsel_scan s ~table ~extra : Executor.morsel_source option =
   let morsel = s.sdb.morsel in
   let slots = Heap.slot_count heap in
   if slots < 2 * morsel then None
-  else if s.sdb.partitioned then begin
+  else begin
     let keep, residual, any_visible, visited =
       partition_scan_filter s ~heap ~extra
     in
@@ -714,27 +595,6 @@ let morsel_scan s ~table ~extra : Executor.morsel_source option =
                     emit v.Heap.tuple));
         }
   end
-  else begin
-    Manager.note_read s.sdb.mgr txn (Heap.name heap);
-    let readable, any_visible = par_scan_filter s ~heap ~extra in
-    (* every live partition proven invisible: fall back to the serial
-       path, whose own prewarm prunes the scan to an empty sequence
-       without forking workers or touching pages *)
-    if not any_visible then None
-    else
-    let mgr = s.sdb.mgr in
-    Some
-      {
-        Executor.ms_morsels = (slots + morsel - 1) / morsel;
-        ms_run =
-          (fun i emit ->
-            Heap.scan_range heap ~lo:(i * morsel)
-              ~hi:((i + 1) * morsel)
-              (fun v ->
-                if Manager.visible mgr txn v && readable v then
-                  emit v.Heap.tuple));
-      }
-  end
 
 let scan_prefix_versions s ~table ~index ~prefix ?(lo = None) ?(hi = None)
     ~extra () : Heap.version Seq.t =
@@ -750,32 +610,20 @@ let scan_prefix_versions s ~table ~index ~prefix ?(lo = None) ?(hi = None)
     | Some i -> i
     | None -> Errors.sql "no such index: %s" index
   in
-  if s.sdb.partitioned then begin
-    (* enumerate only the index segments whose label flows to the
-       session: pruning applies to index scans exactly as to heap
-       scans, and the per-segment streams merge back into the flat
-       tree's (key, vid) order *)
-    let keep, residual, any_visible, visited =
-      partition_scan_filter s ~heap ~extra
-    in
-    note_partition_reads s txn heap visited;
-    if not any_visible then Seq.empty
-    else
-      Catalog.seq_index_prefix idx ~keep ~prefix ~lo ~hi
-      |> Seq.filter_map (fun (_key, vid) -> Heap.get_opt heap vid)
-      |> Seq.filter (fun v -> Manager.visible s.sdb.mgr txn v && residual v)
-  end
-  else begin
-    Manager.note_read s.sdb.mgr txn (Heap.name heap);
-    (* lazy: postings stream straight off the leaf chain, so a consumer
-       that stops early (LIMIT, probe join) walks only what it needs; no
-       per-scan vid list is materialized.  Index scans skip the prewarm —
-       they touch few label groups, and the memo fills on first sight. *)
-    let readable, _any = scan_label_filter s ~heap ~extra ~prewarm:false in
-    Btree.seq_prefix_range idx.Catalog.idx_tree ~prefix ~lo ~hi
+  (* enumerate only the index segments whose label flows to the
+     session: pruning applies to index scans exactly as to heap scans,
+     and the per-segment streams merge into global (key, vid) order.
+     Lazy: postings stream straight off the leaf chains, so a consumer
+     that stops early (LIMIT, probe join) walks only what it needs. *)
+  let keep, residual, any_visible, visited =
+    partition_scan_filter s ~heap ~extra
+  in
+  note_partition_reads s txn heap visited;
+  if not any_visible then Seq.empty
+  else
+    Catalog.seq_index_prefix idx ~keep ~prefix ~lo ~hi
     |> Seq.filter_map (fun (_key, vid) -> Heap.get_opt heap vid)
-    |> Seq.filter (fun v -> Manager.visible s.sdb.mgr txn v && readable v)
-  end
+    |> Seq.filter (fun v -> Manager.visible s.sdb.mgr txn v && residual v)
 
 (* The declassifying-view label transform: strip tags covered by the
    view's declassify label, then apply a relabeling view's (from, to)
@@ -887,21 +735,15 @@ let exec_ctx s : Executor.ctx =
                         (fun tbl ->
                           match Catalog.find_table db.cat tbl with
                           | Some t ->
+                              (* the view read logically covers every
+                                 partition the base scan could have
+                                 visited, so lock at the same
+                                 granularity writers use *)
                               let heap = t.Catalog.tbl_heap in
-                              if Heap.partitioned heap then begin
-                                (* the view read logically covers every
-                                   partition the base scan could have
-                                   visited, so lock at the same
-                                   granularity writers use *)
-                                let name = Heap.name heap in
-                                Manager.note_read db.mgr txn
-                                  (Manager.directory_key name);
-                                Heap.iter_label_counts heap (fun lid _ ->
-                                    Manager.note_read db.mgr txn
-                                      (Manager.partition_key name lid))
-                              end
-                              else
-                                Manager.note_read db.mgr txn (Heap.name heap)
+                              let visited = ref [] in
+                              Heap.iter_label_counts heap (fun lid _ ->
+                                  visited := lid :: !visited);
+                              note_partition_reads s txn heap !visited
                           | None -> ())
                         (Ivm.base_tables db.ivm view)
                   | None -> ());
@@ -2988,7 +2830,7 @@ let create ?(ifc = true) ?(label_cache = true) ?(isolation = Snapshot)
     ?(parallelism = 1) ?(morsel_size = 1024) ?(commit_batch = 1)
     ?(sync_commit = false) ?(strict_analysis = false) ?(metrics = true)
     ?slow_query_ms ?(audit_wal = false) ?(audit_capacity = 4096)
-    ?(partitioned = true) ?(plan_cache = true) ?(trace_sample = 0) () =
+    ?(plan_cache = true) ?(trace_sample = 0) () =
   let parallelism = max 1 parallelism in
   let morsel_size = max 16 morsel_size in
   let bp =
@@ -3005,7 +2847,7 @@ let create ?(ifc = true) ?(label_cache = true) ?(isolation = Snapshot)
       ~serializable_locking:(isolation = Serializable) ~commit_batch
       ~sync_commit ()
   in
-  let cat = Catalog.create ~pool:bp ~labeled:ifc ~partitioned () in
+  let cat = Catalog.create ~pool:bp ~labeled:ifc () in
   let ivm =
     (* the registry's base scans are committed-now and label-blind:
        the state must hold every partition, visibility is decided per
@@ -3129,7 +2971,6 @@ let create ?(ifc = true) ?(label_cache = true) ?(isolation = Snapshot)
       autovacuum_every = 256;
       parallelism;
       morsel = morsel_size;
-      partitioned;
       pruned_parts;
       dpool =
         (if parallelism > 1 then Some (Domain_pool.get ~parallelism) else None);

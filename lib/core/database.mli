@@ -64,7 +64,6 @@ val create :
   ?slow_query_ms:float ->
   ?audit_wal:bool ->
   ?audit_capacity:int ->
-  ?partitioned:bool ->
   ?plan_cache:bool ->
   ?trace_sample:int ->
   unit ->
@@ -80,8 +79,8 @@ val create :
     hash-join probes over them run morsel-parallel on a process-wide
     shared worker pool.  Parallelism is read-only within the session's
     snapshot — writes stay single-threaded — and the Label Confinement
-    Rule is still applied per tuple at the access layer, by the same
-    code path.  [morsel_size] (default 1024 slots, floor 16) sets the
+    Rule is still applied at the access layer, by the same code path
+    as a serial scan.  [morsel_size] (default 1024 slots, floor 16) sets the
     scan partition grain; tables under two morsels run serially.
 
     [commit_batch] (default 1) sets the group-commit coalescing degree:
@@ -118,13 +117,11 @@ val create :
     durable alongside the data it concerns.  [audit_capacity] (default
     4096) bounds the in-memory audit ring.
 
-    [partitioned] (default on) selects label-sharded storage: each
-    table's heap pages and index entries are physically grouped by
-    interned label id, and scans enumerate only the partitions whose
-    label flows to the session — the per-tuple confinement verdict
-    disappears from the hot path (it is decided once per partition).
-    Turn it off to A/B against the flat layout; query results, audit
-    events and error outcomes are identical in both.
+    Storage is label-sharded: each table's heap pages and index
+    entries are physically grouped by interned label id, and scans
+    enumerate only the partitions whose label flows to the session —
+    the confinement verdict is decided once per partition, not per
+    tuple.
 
     [plan_cache] (default on) enables the generation-stamped plan
     cache: [PREPARE]d statements keep their parsed body, prepare-time
@@ -530,12 +527,7 @@ val audit_log : t -> Ifdb_obs.Audit.t
 
 (** {1 Label partitions}
 
-    Introspection over the label-sharded storage layout (the partition
-    directory is maintained in both layouts, so these work — and report
-    the same numbers — with [partitioned] off). *)
-
-val partitioned : t -> bool
-(** Whether storage is label-sharded (the {!create} toggle). *)
+    Introspection over the label-sharded storage layout. *)
 
 val partitions_pruned : t -> int
 (** Total partitions skipped by label confinement across all scans

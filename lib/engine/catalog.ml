@@ -15,16 +15,11 @@ type index = {
   idx_table : string;
   idx_cols : int array;
   idx_unique : bool;
-  idx_tree : Btree.t;
-      (* flat layout: the single tree holding every posting.
-         Partitioned layout: unused (stays empty) — postings live in
-         [idx_segs] instead *)
-  idx_segs : (int, Btree.t) Hashtbl.t option;
-      (* [Some segs] iff the table's heap is partitioned: one B-tree
-         segment per interned label id (-1 groups the uninterned), so
-         an index scan enumerates only the segments whose label flows
-         to the session — the index analogue of per-partition page
-         runs *)
+  idx_segs : (int, Btree.t) Hashtbl.t;
+      (* one B-tree segment per interned label id (-1 groups the
+         uninterned), so an index scan enumerates only the segments
+         whose label flows to the session — the index analogue of
+         per-partition page runs *)
 }
 
 type table = {
@@ -56,7 +51,6 @@ type label_constraint = {
 type t = {
   cat_pool : Ifdb_storage.Buffer_pool.t;
   cat_labeled : bool;
-  cat_partitioned : bool;
   tables : (string, table) Hashtbl.t;
   views : (string, view) Hashtbl.t;
   mutable lcs : label_constraint list;
@@ -67,11 +61,10 @@ type t = {
 
 let norm = String.lowercase_ascii
 
-let create ~pool ~labeled ?(partitioned = false) () =
+let create ~pool ~labeled () =
   {
     cat_pool = pool;
     cat_labeled = labeled;
-    cat_partitioned = partitioned;
     tables = Hashtbl.create 32;
     views = Hashtbl.create 16;
     lcs = [];
@@ -83,7 +76,6 @@ let bump_version t = t.cat_version <- t.cat_version + 1
 
 let pool t = t.cat_pool
 let labeled t = t.cat_labeled
-let partitioned t = t.cat_partitioned
 
 let find_table t name = Hashtbl.find_opt t.tables (norm name)
 let find_view t name = Hashtbl.find_opt t.views (norm name)
@@ -98,20 +90,14 @@ let name_taken t name = find_table t name <> None || find_view t name <> None
 let index_key idx values = Array.map (fun i -> values.(i)) idx.idx_cols
 
 (* The segment holding postings for label id [lid] (created on first
-   use).  Flat indexes route everything to the single tree. *)
+   use). *)
 let seg_of idx lid =
-  match idx.idx_segs with
-  | None -> idx.idx_tree
-  | Some segs -> (
-      match Hashtbl.find_opt segs lid with
-      | Some tree -> tree
-      | None ->
-          let tree = Btree.create () in
-          Hashtbl.add segs lid tree;
-          tree)
-
-let index_segment_count idx =
-  match idx.idx_segs with None -> 1 | Some segs -> Hashtbl.length segs
+  match Hashtbl.find_opt idx.idx_segs lid with
+  | Some tree -> tree
+  | None ->
+      let tree = Btree.create () in
+      Hashtbl.add idx.idx_segs lid tree;
+      tree
 
 let build_index_over_heap tbl idx =
   Heap.iter tbl.tbl_heap (fun v ->
@@ -139,10 +125,7 @@ let mk_index t ~name ~table_name ~cols ~unique =
       idx_table = norm table_name;
       idx_cols;
       idx_unique = unique;
-      idx_tree = Btree.create ();
-      idx_segs =
-        (if Heap.partitioned tbl.tbl_heap then Some (Hashtbl.create 8)
-         else None);
+      idx_segs = Hashtbl.create 8;
     }
   in
   build_index_over_heap tbl idx;
@@ -153,10 +136,7 @@ let mk_index t ~name ~table_name ~cols ~unique =
 let create_table t schema =
   let name = schema.Schema.table_name in
   if name_taken t name then fail "relation %s already exists" name;
-  let heap =
-    Heap.create ~name ~labeled:t.cat_labeled ~pool:t.cat_pool
-      ~partitioned:t.cat_partitioned ()
-  in
+  let heap = Heap.create ~name ~labeled:t.cat_labeled ~pool:t.cat_pool () in
   let tbl = { tbl_schema = schema; tbl_heap = heap; tbl_indexes = [] } in
   Hashtbl.replace t.tables (norm name) tbl;
   (* one unique index per uniqueness constraint, primary key first *)
@@ -186,38 +166,31 @@ let insert_into_indexes _t tbl values ~lid vid =
     tbl.tbl_indexes
 
 let bulk_insert_into_indexes _t tbl rows =
-  (* one sorted bulk load per index (and per touched segment) rather
-     than one descent per row *)
+  (* one sorted bulk load per index and touched segment rather than one
+     descent per row *)
   List.iter
     (fun idx ->
-      match idx.idx_segs with
-      | None ->
-          Btree.insert_many idx.idx_tree
-            (List.map
-               (fun (values, _lid, vid) -> (index_key idx values, vid))
-               rows)
-      | Some _ ->
-          (* group the run by label id, preserving row order within
-             each group (insert_many is order-sensitive only per key,
-             and rows of one segment keep their relative order) *)
-          let by_lid : (int, (Btree.key * int) list ref) Hashtbl.t =
-            Hashtbl.create 4
-          in
-          let order = ref [] in
-          List.iter
-            (fun (values, lid, vid) ->
-              let entry = (index_key idx values, vid) in
-              match Hashtbl.find_opt by_lid lid with
-              | Some l -> l := entry :: !l
-              | None ->
-                  Hashtbl.add by_lid lid (ref [ entry ]);
-                  order := lid :: !order)
-            rows;
-          List.iter
-            (fun lid ->
-              let entries = Hashtbl.find by_lid lid in
-              Btree.insert_many (seg_of idx lid) (List.rev !entries))
-            (List.rev !order))
+      (* group the run by label id, preserving row order within each
+         group (insert_many is order-sensitive only per key, and rows of
+         one segment keep their relative order) *)
+      let by_lid : (int, (Btree.key * int) list ref) Hashtbl.t =
+        Hashtbl.create 4
+      in
+      let order = ref [] in
+      List.iter
+        (fun (values, lid, vid) ->
+          let entry = (index_key idx values, vid) in
+          match Hashtbl.find_opt by_lid lid with
+          | Some l -> l := entry :: !l
+          | None ->
+              Hashtbl.add by_lid lid (ref [ entry ]);
+              order := lid :: !order)
+        rows;
+      List.iter
+        (fun lid ->
+          let entries = Hashtbl.find by_lid lid in
+          Btree.insert_many (seg_of idx lid) (List.rev !entries))
+        (List.rev !order))
     tbl.tbl_indexes
 
 let remove_from_indexes _t tbl values ~lid vid =
@@ -227,30 +200,24 @@ let remove_from_indexes _t tbl values ~lid vid =
 
 (* --- index lookups across segments ---------------------------------
 
-   Readers go through these instead of touching [idx_tree] directly, so
-   one call site works for both layouts.  Point lookups treat the
-   result as a set; ordered scans merge the per-segment streams back
-   into the flat tree's (key, vid) order, so downstream consumers see
-   an identical sequence. *)
+   Readers go through these instead of touching [idx_segs] directly.
+   Point lookups treat the result as a set; ordered scans merge the
+   per-segment streams into global (key, vid) order, so the output
+   does not depend on how labels are spread over segments. *)
 
 let index_find idx key =
-  match idx.idx_segs with
-  | None -> Btree.find idx.idx_tree key
-  | Some segs ->
-      Hashtbl.fold (fun _ tree acc -> Btree.find tree key @ acc) segs []
+  Hashtbl.fold (fun _ tree acc -> Btree.find tree key @ acc) idx.idx_segs []
 
 let index_find_label idx key ~lid =
-  match idx.idx_segs with
-  | None -> Btree.find idx.idx_tree key
-  | Some _ when lid < 0 ->
-      (* uninterned probe label: the caller re-checks labels, so give
-         it every candidate *)
-      index_find idx key
-  | Some _ ->
-      (* the (key, label) identity confines a uniqueness probe to the
-         probe label's own segment (plus the uninterned residue, whose
-         raw labels the caller compares) *)
-      Btree.find (seg_of idx lid) key @ Btree.find (seg_of idx (-1)) key
+  if lid < 0 then
+    (* uninterned probe label: the caller re-checks labels, so give it
+       every candidate *)
+    index_find idx key
+  else
+    (* the (key, label) identity confines a uniqueness probe to the
+       probe label's own segment (plus the uninterned residue, whose raw
+       labels the caller compares) *)
+    Btree.find (seg_of idx lid) key @ Btree.find (seg_of idx (-1)) key
 
 (* k-way merge of ephemeral sequences under [cmp]; ties resolve to the
    earlier sequence, which is irrelevant here because (key, vid) pairs
@@ -287,34 +254,25 @@ let compare_posting (k1, v1) (k2, v2) =
   if c <> 0 then c else compare (v1 : int) v2
 
 let seq_index_prefix idx ~keep ~prefix ~lo ~hi : (Btree.key * int) Seq.t =
-  match idx.idx_segs with
-  | None -> Btree.seq_prefix_range idx.idx_tree ~prefix ~lo ~hi
-  | Some segs ->
-      let streams =
-        Hashtbl.fold
-          (fun lid tree acc ->
-            if keep lid then Btree.seq_prefix_range tree ~prefix ~lo ~hi :: acc
-            else acc)
-          segs []
-      in
-      merge_seqs compare_posting streams
+  let streams =
+    Hashtbl.fold
+      (fun lid tree acc ->
+        if keep lid then Btree.seq_prefix_range tree ~prefix ~lo ~hi :: acc
+        else acc)
+      idx.idx_segs []
+  in
+  merge_seqs compare_posting streams
 
 let iter_index_entries idx f =
-  match idx.idx_segs with
-  | None -> Btree.iter_all idx.idx_tree f
-  | Some segs ->
-      Seq.iter
-        (fun (k, vid) -> f k vid)
-        (merge_seqs compare_posting
-           (Hashtbl.fold
-              (fun _ tree acc -> Btree.seq_prefix tree ~prefix:[||] :: acc)
-              segs []))
+  Seq.iter
+    (fun (k, vid) -> f k vid)
+    (merge_seqs compare_posting
+       (Hashtbl.fold
+          (fun _ tree acc -> Btree.seq_prefix tree ~prefix:[||] :: acc)
+          idx.idx_segs []))
 
 let index_entry_count idx =
-  match idx.idx_segs with
-  | None -> Btree.entry_count idx.idx_tree
-  | Some segs ->
-      Hashtbl.fold (fun _ tree acc -> acc + Btree.entry_count tree) segs 0
+  Hashtbl.fold (fun _ tree acc -> acc + Btree.entry_count tree) idx.idx_segs 0
 
 let create_view t ~name ~query ~declassify ?(relabel = []) ?(materialized = false)
     () =

@@ -19,14 +19,10 @@ type index = {
   idx_table : string;
   idx_cols : int array;       (** column positions in the table schema *)
   idx_unique : bool;
-  idx_tree : Ifdb_storage.Btree.t;
-      (** flat layout: the single tree; unused (empty) when the table
-          is partitioned *)
-  idx_segs : (int, Ifdb_storage.Btree.t) Hashtbl.t option;
-      (** [Some _] iff the table's heap is partitioned: one B-tree
-          segment per interned label id (-1 groups the uninterned).
-          Go through {!index_find} / {!seq_index_prefix} rather than
-          reading either field directly. *)
+  idx_segs : (int, Ifdb_storage.Btree.t) Hashtbl.t;
+      (** one B-tree segment per interned label id (-1 groups the
+          uninterned).  Go through {!index_find} / {!seq_index_prefix}
+          rather than reading it directly. *)
 }
 
 type table = {
@@ -69,17 +65,14 @@ type t
 val create :
   pool:Ifdb_storage.Buffer_pool.t ->
   labeled:bool ->
-  ?partitioned:bool ->
   unit ->
   t
 (** [labeled] selects the storage size model (see
-    {!Ifdb_storage.Heap.create}).  [partitioned] (default false) makes
-    every table label-sharded: per-partition heap page runs and
-    per-partition index segments. *)
+    {!Ifdb_storage.Heap.create}).  Every table is label-sharded:
+    per-partition heap page runs and per-partition index segments. *)
 
 val pool : t -> Ifdb_storage.Buffer_pool.t
 val labeled : t -> bool
-val partitioned : t -> bool
 
 val version : t -> int
 (** Monotone counter bumped by every DDL mutation (table/view/index
@@ -113,7 +106,7 @@ val index_key : index -> Value.t array -> Value.t array
 val insert_into_indexes : t -> table -> Value.t array -> lid:int -> int -> unit
 (** Post a new heap version id under every index of the table; [lid]
     is the tuple's interned label id (-1 when uninterned), selecting
-    the segment in the partitioned layout. *)
+    the segment. *)
 
 val bulk_insert_into_indexes :
   t -> table -> (Value.t array * int * int) list -> unit
@@ -126,10 +119,10 @@ val remove_from_indexes : t -> table -> Value.t array -> lid:int -> int -> unit
 
 (** {2 Lookups}
 
-    Readers go through these rather than touching [idx_tree]/[idx_segs]
-    directly, so one call site serves both layouts.  Ordered scans
-    merge per-segment streams back into the flat tree's (key, vid)
-    order — downstream consumers observe an identical sequence. *)
+    Readers go through these rather than touching [idx_segs] directly.
+    Ordered scans merge per-segment streams into global (key, vid)
+    order, so the output does not depend on how labels are spread over
+    segments. *)
 
 val index_find : index -> Value.t array -> int list
 (** Every vid posted under exactly this key, across all segments (the
@@ -137,9 +130,8 @@ val index_find : index -> Value.t array -> int list
     process may not see). *)
 
 val index_find_label : index -> Value.t array -> lid:int -> int list
-(** Candidates for a uniqueness probe under label id [lid]: in the
-    partitioned layout only [lid]'s segment (plus the uninterned
-    residue) is consulted — the (key, label) identity of
+(** Candidates for a uniqueness probe under label id [lid]: only
+    [lid]'s segment (plus the uninterned residue) is consulted — the (key, label) identity of
     polyinstantiation confines the probe by construction.  Callers
     still re-check labels per candidate. *)
 
@@ -151,16 +143,12 @@ val seq_index_prefix :
   hi:(Value.t * bool) option ->
   (Value.t array * int) Seq.t
 (** Lazy prefix/range scan in (key, vid) order over the segments whose
-    label id [keep] accepts ([keep] is ignored in the flat layout —
-    the caller's per-tuple label filter still applies there). *)
+    label id [keep] accepts. *)
 
 val iter_index_entries : index -> (Value.t array -> int -> unit) -> unit
 (** Every posting in (key, vid) order, across all segments. *)
 
 val index_entry_count : index -> int
-
-val index_segment_count : index -> int
-(** Number of label segments materialized (1 in the flat layout). *)
 
 (** {1 Views} *)
 

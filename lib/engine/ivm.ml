@@ -662,7 +662,8 @@ let apply t (writes : (string * int * Tuple.t * int) list) =
    (session label ∪ every extra readable tag at this reference,
    including the view's own declassification) interns to [dst].  A
    partition is visible iff its label flows to that destination —
-   exactly the check [scan_label_filter] would make per tuple — and
+   exactly the check a base scan's [partition_scan_filter] makes per
+   heap partition — and
    each emitted row's label is the partition label put through the
    view's Declassify boundary. *)
 let assemble t vw (c : compiled) state ~dst : Tuple.t list =

@@ -10,8 +10,8 @@ type version = {
    label id (-1 groups the uninterned).  [p_vids] is the partition's
    slice of the vid space in ascending order — the authoritative
    directory a pruned scan enumerates instead of filtering per tuple.
-   The directory is maintained in both layouts; [partitioned] only
-   selects whether the partition also owns its page run. *)
+   Each partition appends to its own page run, so tuples under one
+   label never share a page with another label's. *)
 type partition = {
   p_lid : int;
   mutable p_vids : int array; (* ascending, append-only *)
@@ -26,15 +26,9 @@ type partition = {
 type t = {
   heap_name : string;
   labeled : bool;
-  partitioned : bool;
-      (* physically shard pages by label id: each partition appends to
-         its own page run, so label confinement prunes whole page runs
-         instead of filtering tuples off shared pages *)
   bp : Buffer_pool.t;
   mutable slots : version option array;
   mutable len : int;
-  mutable current_page : int; (* flat layout only *)
-  mutable page_used : int;
   mutable pages : int;
   (* label-id partition directory, keyed by interned label id (-1
      groups the uninterned).  A sequential scan reads this to decide
@@ -45,21 +39,16 @@ type t = {
   parts : (int, partition) Hashtbl.t;
 }
 
-let create ~name ~labeled ~pool ?(partitioned = false) () =
+let create ~name ~labeled ~pool () =
   {
     heap_name = name;
     labeled;
-    partitioned;
     bp = pool;
     slots = Array.make 64 None;
     len = 0;
-    current_page = (if partitioned then -1 else Buffer_pool.alloc_page pool);
-    page_used = 0;
-    pages = (if partitioned then 0 else 1);
+    pages = 0;
     parts = Hashtbl.create 8;
   }
-
-let partitioned t = t.partitioned
 
 let partition_of t lid =
   match Hashtbl.find_opt t.parts lid with
@@ -100,7 +89,7 @@ type partition_stats = {
   ps_lid : int;
   ps_versions : int; (* non-vacuumed versions *)
   ps_live : int;     (* versions not deleted-and-committed *)
-  ps_pages : int;    (* pages owned (0 in the flat layout) *)
+  ps_pages : int;    (* pages owned *)
 }
 
 let partition_stats t =
@@ -131,35 +120,20 @@ let grow t =
 let insert t ~xmin tuple =
   let bytes = tuple_bytes t tuple in
   let p = partition_of t (Ifdb_rel.Tuple.label_id tuple) in
-  let page =
-    if t.partitioned then begin
-      (* per-partition page run: tuples under one label never share a
-         page with another label's, so pruning a partition skips its
-         pages entirely *)
-      if
-        p.p_current_page < 0
-        || not (Page.fits ~used:p.p_page_used ~tuple_bytes:bytes)
-      then begin
-        p.p_current_page <- Buffer_pool.alloc_page t.bp;
-        p.p_page_used <- 0;
-        p.p_pages <- p.p_pages + 1;
-        t.pages <- t.pages + 1
-      end;
-      p.p_page_used <- p.p_page_used + bytes + Page.item_overhead;
-      p.p_current_page
-    end
-    else begin
-      if not (Page.fits ~used:t.page_used ~tuple_bytes:bytes) then begin
-        t.current_page <- Buffer_pool.alloc_page t.bp;
-        t.page_used <- 0;
-        t.pages <- t.pages + 1
-      end;
-      t.page_used <- t.page_used + bytes + Page.item_overhead;
-      t.current_page
-    end
-  in
+  (* per-partition page run: pruning a partition skips its pages
+     entirely *)
+  if
+    p.p_current_page < 0
+    || not (Page.fits ~used:p.p_page_used ~tuple_bytes:bytes)
+  then begin
+    p.p_current_page <- Buffer_pool.alloc_page t.bp;
+    p.p_page_used <- 0;
+    p.p_pages <- p.p_pages + 1;
+    t.pages <- t.pages + 1
+  end;
+  p.p_page_used <- p.p_page_used + bytes + Page.item_overhead;
   grow t;
-  let v = { vid = t.len; tuple; xmin; xmax = 0; page } in
+  let v = { vid = t.len; tuple; xmin; xmax = 0; page = p.p_current_page } in
   t.slots.(t.len) <- Some v;
   t.len <- t.len + 1;
   if p.p_len >= Array.length p.p_vids then begin
@@ -217,20 +191,6 @@ let iter t f =
 
 let slot_count t = t.len
 
-let scan_range t ~lo ~hi f =
-  let lo = max 0 lo and hi = min hi t.len in
-  let last_page = ref (-1) in
-  for i = lo to hi - 1 do
-    match t.slots.(i) with
-    | None -> ()
-    | Some v ->
-        if v.page <> !last_page then begin
-          Buffer_pool.touch t.bp v.page;
-          last_page := v.page
-        end;
-        f v
-  done
-
 let version_count t =
   let n = ref 0 in
   for i = 0 to t.len - 1 do
@@ -275,12 +235,11 @@ let to_seq t =
 (* --- merged scans over selected partitions -------------------------
 
    A pruned scan enumerates only the partitions [keep] accepts, but it
-   must produce versions in {e global vid order} so partitioned and
-   flat layouts are observably identical (the parallel executor and the
-   QCheck equivalence properties both compare exact output order).
-   Each partition's vid directory is ascending, so a k-way cursor merge
-   reproduces the flat order while never touching a pruned partition's
-   slots or pages. *)
+   produces versions in {e global vid order}, so its output order does
+   not depend on how labels interleave (the parallel executor compares
+   exact output order against the serial scan).  Each partition's vid
+   directory is ascending, so a k-way cursor merge reproduces insertion
+   order while never touching a pruned partition's slots or pages. *)
 
 (* the kept partitions, with a cursor positioned at the first vid >=
    [lo]; partitions with no vids in [lo, hi) drop out *)

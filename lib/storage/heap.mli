@@ -11,17 +11,16 @@
     the owning page to the {!Buffer_pool}, which is how label bytes
     translate into extra I/O in the disk-bound benchmarks.
 
-    {b Label partitions.}  The heap keeps a partition directory keyed
-    by interned label id (-1 groups the uninterned): each partition
-    records its slice of the vid space in ascending order, maintained
-    incrementally on insert/vacuum — never rebuilt by scanning.  With
-    [partitioned], each partition additionally owns its page run, so
-    tuples under different labels never share a page and label
-    confinement prunes whole page runs by construction; without it the
-    heap keeps the classic shared append layout (the A/B baseline).
-    The merged-scan primitives enumerate only the partitions a caller
-    keeps, in global vid order — observably identical output to a flat
-    scan plus a per-tuple label filter. *)
+    {b Label partitions.}  The heap is label-sharded: a partition
+    directory keyed by interned label id (-1 groups the uninterned)
+    records each partition's slice of the vid space in ascending order,
+    maintained incrementally on insert/vacuum — never rebuilt by
+    scanning.  Each partition owns its page run, so tuples under
+    different labels never share a page and label confinement prunes
+    whole page runs by construction.  The merged-scan primitives
+    enumerate only the partitions a caller keeps, in global vid order —
+    the same versions, in the same order, as {!iter} plus a per-tuple
+    label filter. *)
 
 type version = {
   vid : int;                (** stable version id within this heap *)
@@ -37,14 +36,10 @@ val create :
   name:string ->
   labeled:bool ->
   pool:Buffer_pool.t ->
-  ?partitioned:bool ->
   unit ->
   t
 (** [labeled] selects the tuple size model: with IFC on, labels cost
-    4 bytes per tag on the page; the baseline stores no label bytes.
-    [partitioned] (default false) selects per-label-id page runs. *)
-
-val partitioned : t -> bool
+    4 bytes per tag on the page; the baseline stores no label bytes. *)
 
 val name : t -> string
 val pool : t -> Buffer_pool.t
@@ -72,17 +67,6 @@ val slot_count : t -> int
 (** Upper bound of the version-id space: the partition domain for
     morsel-parallel scans (includes vacuumed holes, which scan as
     empty). *)
-
-val scan_range : t -> lo:int -> hi:int -> (version -> unit) -> unit
-(** [scan_range t ~lo ~hi f]: {!iter} restricted to version ids in
-    [\[lo, hi)] — one morsel of a parallel scan.  Charges each distinct
-    page once per call; morsels are called concurrently from worker
-    domains, which is safe because versions are appended in page order
-    (disjoint ranges touch mostly disjoint pages) and {!Buffer_pool}
-    touches are thread-safe.  The [version] record fields read here
-    ([vid], [tuple], [page]) are immutable after insert; [xmin]/[xmax]
-    are mutated only by writer transactions, which never run
-    concurrently with a read-only parallel scan. *)
 
 val version_count : t -> int
 (** Number of versions ever created and not vacuumed. *)
@@ -131,7 +115,7 @@ type partition_stats = {
   ps_lid : int;
   ps_versions : int; (** non-vacuumed versions *)
   ps_live : int;     (** versions not deleted-and-committed *)
-  ps_pages : int;    (** pages owned (0 in the flat layout) *)
+  ps_pages : int;    (** pages owned; they sum to {!page_count} *)
 }
 
 val partition_stats : t -> partition_stats list
@@ -149,7 +133,12 @@ val iter_merge : t -> keep:(int -> bool) -> (version -> unit) -> unit
 val iter_merge_range :
   t -> keep:(int -> bool) -> lo:int -> hi:int -> (version -> unit) -> unit
 (** {!iter_merge} restricted to vids in [\[lo, hi)] — one morsel of a
-    pruned parallel scan.  Thread-safety mirrors {!scan_range}. *)
+    pruned parallel scan.  Charges each distinct page once per call.
+    Morsels run concurrently on worker domains, which is safe because
+    {!Buffer_pool} touches are thread-safe and the [version] fields read
+    here ([vid], [tuple], [page]) are immutable after insert; [xmin] and
+    [xmax] are mutated only by writer transactions, which never run
+    concurrently with a read-only parallel scan. *)
 
 val seq_merge : t -> keep:(int -> bool) -> version Seq.t
 (** Lazy {!iter_merge}. *)

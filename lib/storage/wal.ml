@@ -4,7 +4,6 @@ type record =
   | Delete of string * int
   | Commit of int
   | Abort of int
-  | Checkpoint
   | Audit of string
 
 type stats = { records : int; bytes : int; fsyncs : int; io_ns : int }
@@ -42,7 +41,7 @@ let create ?(fsync_cost_ns = 200_000) () =
 let set_fsync_observer t f = t.on_fsync <- f
 
 let record_bytes = function
-  | Begin _ | Commit _ | Abort _ | Checkpoint -> 16
+  | Begin _ | Commit _ | Abort _ -> 16
   | Delete (_, _) -> 24
   | Insert (_, _, payload) -> 24 + payload
   | Audit line -> 16 + String.length line

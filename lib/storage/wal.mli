@@ -20,7 +20,6 @@ type record =
   | Delete of string * int            (** table, vid *)
   | Commit of int
   | Abort of int
-  | Checkpoint
   | Audit of string                   (** rendered IFC audit event *)
 
 type stats = {

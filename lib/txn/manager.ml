@@ -132,11 +132,10 @@ let visible t txn (v : Ifdb_storage.Heap.version) =
    open transaction raises immediately — blocking cannot work in a
    single-threaded interleaving).  Locks die with the transaction.
 
-   Flat heaps lock at table granularity.  Partitioned heaps lock at
-   {e label-partition} granularity — "table#lid" — so differently
-   labeled writers and readers never conflict; a per-table directory
-   key "table@dir" closes the phantom-partition window: every full
-   scan read-locks it, and an insert that creates a brand-new
+   Heaps lock at {e label-partition} granularity — "table#lid" — so
+   differently labeled writers and readers never conflict; a per-table
+   directory key "table@dir" closes the phantom-partition window: every
+   full scan read-locks it, and an insert that creates a brand-new
    partition write-locks it (a partition born after a scan decided its
    pruning could otherwise carry a label the scan should have
    conflicted with). *)
@@ -147,10 +146,8 @@ let directory_key table = table ^ "@dir"
    {e before} the insert so a new partition is still observable. *)
 let write_lock_keys heap lid =
   let name = Ifdb_storage.Heap.name heap in
-  if Ifdb_storage.Heap.partitioned heap then
-    if Ifdb_storage.Heap.has_partition heap lid then [ partition_key name lid ]
-    else [ partition_key name lid; directory_key name ]
-  else [ name ]
+  if Ifdb_storage.Heap.has_partition heap lid then [ partition_key name lid ]
+  else [ partition_key name lid; directory_key name ]
 
 (* A lock key shown to the span layer: the partition suffix is an
    interned label id, so it is masked — exports must not let lock
@@ -278,11 +275,9 @@ let record_inserts t txn heap tuples =
 
 let record_delete t txn heap (v : Ifdb_storage.Heap.version) =
   require_open txn "record_delete";
-  (if Ifdb_storage.Heap.partitioned heap then
-     note_write t txn
-       (partition_key (Ifdb_storage.Heap.name heap)
-          (Ifdb_rel.Tuple.label_id v.tuple))
-   else note_write t txn (Ifdb_storage.Heap.name heap));
+  note_write t txn
+    (partition_key (Ifdb_storage.Heap.name heap)
+       (Ifdb_rel.Tuple.label_id v.tuple));
   log_begin t txn;
   if not (visible t txn v) then
     invalid_arg "record_delete: version not visible to this transaction";

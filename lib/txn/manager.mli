@@ -113,13 +113,13 @@ val lock_wait_ns : t -> int
 
 val partition_key : string -> int -> string
 (** The lock key for one label partition of a table ("table#lid").
-    Writes to partitioned heaps lock at this granularity, so
+    Writes lock at this granularity, so
     differently labeled transactions never conflict; a pruned scan
     read-locks only the partitions it visits. *)
 
 val directory_key : string -> string
-(** The per-table partition-directory key ("table@dir").  Full scans of
-    a partitioned heap read-lock it; an insert creating a brand-new
+(** The per-table partition-directory key ("table@dir").  Full scans
+    read-lock it; an insert creating a brand-new
     partition write-locks it — closing the phantom-partition window
     (a partition born after a scan froze its pruning could otherwise
     carry a label the scan should have conflicted with). *)

@@ -1,16 +1,26 @@
-(* Label-sharded storage (PR 7): the partitioned layout is physically
-   different — per-label heap page runs, per-label index segments,
-   partition-granularity locks — but must be observationally identical
-   to the flat layout.  A random labeled DML + query trace is replayed
-   against one database of each layout and every outcome is compared:
-   result values, result labels, error outcomes, the audit stream and
-   the final visible state.  CI runs the suite at parallelism 1 and at
-   a multi-domain setting ([IFDB_TEST_PARALLELISM]), so the merged
-   morsel path is compared against the flat morsel path too. *)
+(* Label-sharded storage against a reference model.  Storage is
+   physically sharded — per-label heap page runs, per-label index
+   segments, partition-granularity locks, merged scans — but what a
+   client observes must follow from three rules alone:
+
+   - Confinement: a row is visible when its label is a subset of the
+     session label (section 4.2).
+   - The exact-label Write Rule: an UPDATE/DELETE that touches a
+     visible row under a different label raises [Flow_violation].
+   - Polyinstantiated uniqueness: the identity a PRIMARY KEY protects
+     is (key, label) (section 5.2.1).
+
+   A random labeled DML + query trace is replayed against a database
+   and against a list of (label mask, id, v) rows, and every outcome is
+   compared: result rows and their labels, affected-row counts, error
+   classes, the Write-Rule audit events and the final state.  A fixed
+   preload puts the table above two morsels, so at a multi-domain
+   setting ([IFDB_TEST_PARALLELISM]) queries take the merged morsel
+   path. *)
 
 module Db = Ifdb_core.Database
+module Errors = Ifdb_core.Errors
 module Label = Ifdb_difc.Label
-module Tag = Ifdb_difc.Tag
 module Value = Ifdb_rel.Value
 module Tuple = Ifdb_rel.Tuple
 module Audit = Ifdb_obs.Audit
@@ -54,23 +64,68 @@ let gen_op =
 let gen_trace = QCheck.Gen.(list_size (int_range 5 30) gen_op)
 
 (* ------------------------------------------------------------------ *)
+(* Outcomes and the reference model                                    *)
+(* ------------------------------------------------------------------ *)
+
+type row = { mask : int; id : int; v : int }
+
+(* One op's observable outcome.  Query rows are kept sorted, so rows
+   that tie on ORDER BY (same id and v, different labels) compare
+   equal whatever order the scan produced them in. *)
+type outcome =
+  | Rows of row list
+  | Count of int
+  | Flow_violation
+  | Constraint_violation
+
+(* ids 100..139 under all four labels: 40 slots, above two morsels of
+   16, and disjoint from the trace's ids 0..7 *)
+let preload =
+  List.init 40 (fun i -> { mask = i mod 4; id = 100 + i; v = i mod 10 })
+
+let sorted rows = List.sort compare rows
+let visible ~reader r = r.mask land lnot reader = 0
+
+let model_step rows = function
+  | Insert (id, v, m) ->
+      if List.exists (fun r -> r.id = id && r.mask = m) rows then
+        (rows, Constraint_violation)
+      else (rows @ [ { mask = m; id; v } ], Count 1)
+  | Update (id, v, m) ->
+      let hit = List.filter (fun r -> r.id = id && visible ~reader:m r) rows in
+      if List.exists (fun r -> r.mask <> m) hit then (rows, Flow_violation)
+      else
+        ( List.map
+            (fun r -> if r.id = id && r.mask = m then { r with v } else r)
+            rows,
+          Count (List.length hit) )
+  | Delete (id, m) ->
+      let hit = List.filter (fun r -> r.id = id && visible ~reader:m r) rows in
+      if List.exists (fun r -> r.mask <> m) hit then (rows, Flow_violation)
+      else
+        ( List.filter (fun r -> not (r.id = id && r.mask = m)) rows,
+          Count (List.length hit) )
+  | Query m -> (rows, Rows (sorted (List.filter (visible ~reader:m) rows)))
+
+(* outcomes, final state (read under both tags), Write-Rule audit
+   events *)
+let model ops =
+  let rows, outcomes =
+    List.fold_left
+      (fun (rows, acc) op ->
+        let rows, o = model_step rows op in
+        (rows, o :: acc))
+      (preload, []) ops
+  in
+  let flows = List.length (List.filter (( = ) Flow_violation) outcomes) in
+  (List.rev outcomes, sorted rows, flows)
+
+(* ------------------------------------------------------------------ *)
 (* Replay                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* One op's observable outcome: the rows it returned (values + label)
-   or the error it raised, rendered to strings so the two layouts can
-   be diffed structurally. *)
-type outcome =
-  | Rows of (string list * string) list
-  | Count of int
-  | Error of string
-
-let row_key t =
-  ( List.map Value.to_string (Array.to_list (Tuple.values t)),
-    Label.to_string (Tuple.label t) )
-
-let replay ~partitioned ~parallelism ops =
-  let db = Db.create ~partitioned ~parallelism ~morsel_size:16 () in
+let replay ~parallelism ops =
+  let db = Db.create ~parallelism ~morsel_size:16 () in
   let admin = Db.connect_admin db in
   let owner = Db.create_principal admin ~name:"owner" in
   let os = Db.connect db ~principal:owner in
@@ -83,13 +138,35 @@ let replay ~partitioned ~parallelism ops =
     if mask land 2 <> 0 then Db.add_secrecy s tb;
     s
   in
+  let mask_of label =
+    if not (Label.subset label (Label.of_list [ ta; tb ])) then
+      Alcotest.failf "row carries a foreign label %s" (Label.to_string label);
+    (if Label.mem ta label then 1 else 0) lor if Label.mem tb label then 2 else 0
+  in
+  let row_of t =
+    { mask = mask_of (Tuple.label t);
+      id = Value.to_int (Tuple.get t 0);
+      v = Value.to_int (Tuple.get t 1) }
+  in
   let run mask sql =
     match Db.exec (session mask) sql with
-    | Db.Rows { tuples; _ } -> Rows (List.map row_key tuples)
+    | Db.Rows { tuples; _ } -> Rows (sorted (List.map row_of tuples))
     | Db.Affected n -> Count n
     | Db.Done _ -> Count 0
-    | exception e -> Error (Printexc.to_string e)
+    | exception Errors.Flow_violation _ -> Flow_violation
+    | exception Errors.Constraint_violation _ -> Constraint_violation
   in
+  List.iter
+    (fun m ->
+      let values =
+        List.filter_map
+          (fun r ->
+            if r.mask = m then Some (Printf.sprintf "(%d, %d)" r.id r.v)
+            else None)
+          preload
+      in
+      ignore (run m ("INSERT INTO t VALUES " ^ String.concat ", " values)))
+    [ 0; 1; 2; 3 ];
   let outcomes =
     List.map
       (fun op ->
@@ -106,30 +183,29 @@ let replay ~partitioned ~parallelism ops =
   let final =
     match run 3 "SELECT id, v FROM t ORDER BY id, v" with
     | Rows rows -> rows
-    | Count _ | Error _ -> assert false
+    | Count _ | Flow_violation | Constraint_violation -> assert false
   in
-  let audit =
-    List.map
-      (fun ev -> (ev.Audit.ev_kind, ev.Audit.ev_principal, ev.Audit.ev_tags))
-      (Audit.events (Db.audit_log db))
+  let flows =
+    List.length
+      (List.filter
+         (fun ev -> ev.Audit.ev_kind = Audit.Write_rule_rejection)
+         (Audit.events (Db.audit_log db)))
   in
-  (outcomes, final, audit)
+  (outcomes, final, flows)
 
-let check_equivalence ~parallelism ops =
-  let a = replay ~partitioned:true ~parallelism ops in
-  let b = replay ~partitioned:false ~parallelism ops in
-  if a <> b then
-    QCheck.Test.fail_reportf "partitioned /= flat on@ [%s]"
+let check_model ~parallelism ops =
+  if replay ~parallelism ops <> model ops then
+    QCheck.Test.fail_reportf "database /= reference model on@ [%s]"
       (String.concat "; " (List.map pp_op ops));
   true
 
-let qcheck_equivalence ~count ~parallelism name =
+let qcheck_model ~count ~parallelism name =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name
        (QCheck.make
           ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
           gen_trace)
-       (fun ops -> check_equivalence ~parallelism ops))
+       (fun ops -> check_model ~parallelism ops))
 
 (* ------------------------------------------------------------------ *)
 (* Pruning is observable                                               *)
@@ -145,7 +221,6 @@ let test_pruning_observable () =
   let os = Db.connect db ~principal:owner in
   let tag = Db.create_tag os ~name:"secret" () in
   ignore (Db.exec admin "CREATE TABLE r (id INT PRIMARY KEY, v INT)");
-  Alcotest.(check bool) "partitioned by default" true (Db.partitioned db);
   ignore (Db.exec admin "INSERT INTO r VALUES (1, 10)");
   ignore (Db.exec admin "INSERT INTO r VALUES (2, 20)");
   let hs = Db.connect db ~principal:owner in
@@ -229,10 +304,8 @@ let suites =
   [
     ( "partition",
       [
-        qcheck_equivalence ~count:40 ~parallelism:1
-          "partitioned = flat (serial)";
-        qcheck_equivalence ~count:12 ~parallelism:par_width
-          "partitioned = flat (parallel)";
+        qcheck_model ~count:40 ~parallelism:1 "model oracle (serial)";
+        qcheck_model ~count:12 ~parallelism:par_width "model oracle (parallel)";
         Alcotest.test_case "pruning observable" `Quick test_pruning_observable;
         Alcotest.test_case "IVM skips foreign partitions" `Quick
           test_ivm_partition_skip;

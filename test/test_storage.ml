@@ -163,6 +163,75 @@ let test_heap_iter_vacuum () =
   Alcotest.(check bool) "dead slot gone" true (Heap.get_opt h 0 = None);
   Alcotest.(check bool) "live slot stays" true (Heap.get_opt h 1 <> None)
 
+(* Label sharding: each partition owns its page run, and a merged scan
+   over the kept partitions is exactly a full scan filtered by label id,
+   in vid order — before and after vacuum punches holes. *)
+let test_heap_partitions () =
+  let bp = Buffer_pool.create () in
+  let h = Heap.create ~name:"t" ~labeled:true ~pool:bp () in
+  let labels =
+    [| Label.of_ints [| 1 |]; Label.of_ints [| 2 |]; Label.of_ints [| 1; 2 |] |]
+  in
+  for i = 0 to 599 do
+    let lid = i mod 3 in
+    ignore
+      (Heap.insert h ~xmin:1
+         (Tuple.make_interned ~label:labels.(lid) ~label_id:lid
+            ~values:[| Value.Int i; Value.Text "xxxxxxxxxxxxxxxx" |]))
+  done;
+  let lid_of v = Tuple.label_id v.Heap.tuple in
+  let pages_of lid =
+    let pages = ref [] in
+    Heap.iter h (fun v ->
+        if lid_of v = lid && not (List.mem v.Heap.page !pages) then
+          pages := v.Heap.page :: !pages);
+    !pages
+  in
+  let stats = Heap.partition_stats h in
+  Alcotest.(check (list int)) "three partitions" [ 0; 1; 2 ]
+    (List.map (fun ps -> ps.Heap.ps_lid) stats);
+  List.iter
+    (fun ps ->
+      Alcotest.(check int)
+        (Printf.sprintf "partition %d owns the pages it uses" ps.Heap.ps_lid)
+        ps.Heap.ps_pages
+        (List.length (pages_of ps.Heap.ps_lid)))
+    stats;
+  List.iter
+    (fun (a, b) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "partitions %d and %d share no page" a b)
+        false
+        (List.exists (fun p -> List.mem p (pages_of b)) (pages_of a)))
+    [ (0, 1); (0, 2); (1, 2) ];
+  Alcotest.(check int) "page_count = sum of ps_pages" (Heap.page_count h)
+    (List.fold_left (fun acc ps -> acc + ps.Heap.ps_pages) 0 stats);
+  let check_merge phase =
+    List.iter
+      (fun kept ->
+        let keep lid = List.mem lid kept in
+        let expected = ref [] and merged = ref [] in
+        Heap.iter h (fun v ->
+            if keep (lid_of v) then expected := v.Heap.vid :: !expected);
+        Heap.iter_merge h ~keep (fun v -> merged := v.Heap.vid :: !merged);
+        let name =
+          Printf.sprintf "%s: iter_merge keeping [%s]" phase
+            (String.concat ";" (List.map string_of_int kept))
+        in
+        Alcotest.(check (list int)) name (List.rev !expected)
+          (List.rev !merged);
+        Alcotest.(check (list int)) (name ^ " (seq)") (List.rev !expected)
+          (List.of_seq (Seq.map (fun v -> v.Heap.vid) (Heap.seq_merge h ~keep))))
+      [ []; [ 0 ]; [ 1 ]; [ 2 ]; [ 0; 2 ]; [ 0; 1; 2 ] ]
+  in
+  check_merge "before vacuum";
+  let removed =
+    Heap.vacuum h ~dead:(fun v ->
+        Value.to_int (Tuple.get v.Heap.tuple 0) mod 5 = 0)
+  in
+  Alcotest.(check int) "vacuumed" 120 removed;
+  check_merge "after vacuum"
+
 (* ------------------------------------------------------------------ *)
 (* B+tree                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -480,6 +549,7 @@ let suites =
         Alcotest.test_case "xmax stamps" `Quick test_heap_xmax;
         Alcotest.test_case "label bytes consume pages" `Quick test_heap_page_packing;
         Alcotest.test_case "iter & vacuum" `Quick test_heap_iter_vacuum;
+        Alcotest.test_case "label partitions" `Quick test_heap_partitions;
       ] );
     ( "storage.btree",
       [
