@@ -540,61 +540,69 @@ let note_partition_reads s txn heap visited =
     (fun lid -> Manager.note_read mgr txn (Manager.partition_key name lid))
     visited
 
-let scan_versions s ~table ~extra : Heap.version Seq.t =
+(* Open a sequential scan of [heap]: decide its partitions and record
+   its footprint.  [None] when no partition can flow to the session: the
+   scan provably returns nothing and touches no page. *)
+let open_scan s ~heap ~extra =
   let txn = current_txn s "scan" in
-  let tbl = Catalog.table s.sdb.cat table in
-  let heap = tbl.Catalog.tbl_heap in
   let keep, residual, any_visible, visited =
     partition_scan_filter s ~heap ~extra
   in
   note_partition_reads s txn heap visited;
-  if not any_visible then begin
+  if any_visible then Some (txn, keep, residual)
+  else begin
     trace_scan_skipped s ~heap;
-    Seq.empty
+    None
   end
-  else
-    Seq.filter
-      (fun v -> Manager.visible s.sdb.mgr txn v && residual v)
-      (Heap.seq_merge heap ~keep)
+
+let table_heap s table = (Catalog.table s.sdb.cat table).Catalog.tbl_heap
+
+let scan_versions s ~table ~extra : Heap.version Seq.t =
+  let heap = table_heap s table in
+  match open_scan s ~heap ~extra with
+  | None -> Seq.empty
+  | Some (txn, keep, residual) ->
+      let mgr = s.sdb.mgr in
+      Seq.filter
+        (fun v -> Manager.visible mgr txn v && residual v)
+        (Heap.seq_merge heap ~keep)
+
+(* A sequential scan as a push source cut into vid ranges of [morsel]
+   slots: the same confinement, visibility and footprint as
+   [scan_versions], but each range is one [Heap.iter_merge_range]
+   pushing visible tuples into the executor's fused pipeline, with no
+   per-row closure chain.  Ranges stay global vid ranges: each
+   merge-scans only the kept partitions' slice of its range, and
+   concatenated in order they give the serial merged scan's output.
+   [keep] and [residual] are frozen before any range runs, so worker
+   domains read them lock-free; the snapshots and status table that
+   visibility reads are read-only while a read-only parallel section
+   runs.  A label-empty scan has no ranges. *)
+let merge_source s ~heap ~extra ~morsel : Executor.morsel_source =
+  match open_scan s ~heap ~extra with
+  | None -> { Executor.ms_morsels = 0; ms_run = (fun _ _ -> ()) }
+  | Some (txn, keep, residual) ->
+      let mgr = s.sdb.mgr in
+      let slots = Heap.slot_count heap in
+      {
+        Executor.ms_morsels =
+          (if slots = 0 then 0 else ((slots - 1) / morsel) + 1);
+        ms_run =
+          (fun i emit ->
+            Heap.iter_merge_range heap ~keep ~lo:(i * morsel)
+              ~hi:((i + 1) * morsel)
+              (fun v ->
+                if Manager.visible mgr txn v && residual v then
+                  emit v.Heap.tuple));
+      }
 
 (* Cut a table into morsels for the parallel executor.  Returns [None]
    for tables too small to amortize the fork/join barrier — the
-   executor then runs the serial path.  Visibility is the same
-   [Manager.visible] as the serial scan: snapshots and the status table
-   are read-only while a read-only parallel section runs. *)
+   executor then runs the serial path. *)
 let morsel_scan s ~table ~extra : Executor.morsel_source option =
-  let txn = current_txn s "scan" in
-  let tbl = Catalog.table s.sdb.cat table in
-  let heap = tbl.Catalog.tbl_heap in
-  let morsel = s.sdb.morsel in
-  let slots = Heap.slot_count heap in
-  if slots < 2 * morsel then None
-  else begin
-    let keep, residual, any_visible, visited =
-      partition_scan_filter s ~heap ~extra
-    in
-    note_partition_reads s txn heap visited;
-    if not any_visible then None
-    else
-      let mgr = s.sdb.mgr in
-      Some
-        {
-          (* morsels stay global vid ranges: each worker merge-scans
-             only the kept partitions' slice of its range, and the
-             per-morsel buffers downstream keep the output order
-             byte-identical to the serial merged scan.  [keep] and
-             [residual] are frozen before workers launch — lock-free
-             reads thereafter. *)
-          Executor.ms_morsels = (slots + morsel - 1) / morsel;
-          ms_run =
-            (fun i emit ->
-              Heap.iter_merge_range heap ~keep ~lo:(i * morsel)
-                ~hi:((i + 1) * morsel)
-                (fun v ->
-                  if Manager.visible mgr txn v && residual v then
-                    emit v.Heap.tuple));
-        }
-  end
+  let heap = table_heap s table and morsel = s.sdb.morsel in
+  if Heap.slot_count heap < 2 * morsel then None
+  else Some (merge_source s ~heap ~extra ~morsel)
 
 let scan_prefix_versions s ~table ~index ~prefix ?(lo = None) ?(hi = None)
     ~extra () : Heap.version Seq.t =
@@ -689,6 +697,10 @@ let exec_ctx s : Executor.ctx =
     scan_table =
       (fun table ~extra ->
         Seq.map (fun v -> v.Heap.tuple) (scan_versions s ~table ~extra));
+    (* the whole table as one range *)
+    scan_push =
+      (fun ~table ~extra ->
+        merge_source s ~heap:(table_heap s table) ~extra ~morsel:max_int);
     scan_prefix =
       (fun ~table ~index ~prefix ~lo ~hi ~extra ->
         Seq.map (fun v -> v.Heap.tuple)

@@ -114,27 +114,30 @@ let revalidate t =
     t.valid_generation <- g
   end
 
-(* Domain-local memos: store uid -> (generation, packed-pair -> verdict).
-   One small table per domain; reset per store whenever its generation
-   moves.  Never shared across domains, so reads/writes need no lock. *)
-type local = { mutable l_gen : int; l_verdicts : (int, bool) Hashtbl.t }
+(* Domain-local memo: one (store uid, generation) -> packed-pair ->
+   verdict table per domain, reset whenever a probe comes from another
+   store or generation.  A single entry means a dropped store leaves at
+   most its own verdicts behind, and only until the domain's next probe
+   from a live one.  Never shared across domains, so reads/writes need
+   no lock. *)
+type local = {
+  mutable l_uid : int;
+  mutable l_gen : int;
+  l_verdicts : (int, bool) Hashtbl.t;
+}
 
-let dls_key : (int, local) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
+let dls_key : local Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { l_uid = -1; l_gen = 0; l_verdicts = Hashtbl.create 64 })
 
 let local_memo t ~generation =
-  let per_store = Domain.DLS.get dls_key in
-  match Hashtbl.find_opt per_store t.uid with
-  | Some l ->
-      if l.l_gen <> generation then begin
-        Hashtbl.reset l.l_verdicts;
-        l.l_gen <- generation
-      end;
-      l
-  | None ->
-      let l = { l_gen = generation; l_verdicts = Hashtbl.create 64 } in
-      Hashtbl.replace per_store t.uid l;
-      l
+  let l = Domain.DLS.get dls_key in
+  if l.l_uid <> t.uid || l.l_gen <> generation then begin
+    Hashtbl.reset l.l_verdicts;
+    l.l_uid <- t.uid;
+    l.l_gen <- generation
+  end;
+  l
 
 (* Global probe/derive, under the lock. *)
 let flows_id_slow t ~key ~src ~dst =

@@ -22,8 +22,11 @@
     {!flows_id} and {!intern} are thread-safe and may be called from
     worker domains during morsel-parallel scans: the global table and
     verdict cache are mutex-guarded, statistics are atomic, and each
-    domain keeps a generation-stamped {e domain-local} verdict memo so
-    steady-state probes are lock-free.  Authority-state mutations and
+    domain keeps one {e domain-local} verdict memo, stamped with the
+    store and generation it serves, so steady-state probes are
+    lock-free.  The memo is reset when a probe comes from another store,
+    so a dropped store's verdicts do not accumulate in long-lived
+    domains.  Authority-state mutations and
     {!label_of} remain single-writer (the main thread). *)
 
 type t

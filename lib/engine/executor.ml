@@ -18,6 +18,7 @@ type par = {
 type ctx = {
   fenv : Expr.env;
   scan_table : string -> extra:Label.t -> Tuple.t Seq.t;
+  scan_push : table:string -> extra:Label.t -> morsel_source;
   scan_prefix :
     table:string -> index:string -> prefix:Value.t array ->
     lo:(Value.t * bool) option -> hi:(Value.t * bool) option ->
@@ -81,12 +82,13 @@ let new_agg_state () =
     extreme = Value.Null; distinct_seen = None }
 
 let feed_agg ctx row (kind : Plan.agg_kind) st =
-  let arg e = Expr.eval ctx.fenv row e in
   match kind with
   | Plan.Count_star -> st.count <- st.count + 1
-  | Plan.Count e -> if not (Value.is_null (arg e)) then st.count <- st.count + 1
+  | Plan.Count e ->
+      if not (Value.is_null (Expr.eval ctx.fenv row e)) then
+        st.count <- st.count + 1
   | Plan.Count_distinct e -> (
-      match arg e with
+      match Expr.eval ctx.fenv row e with
       | Value.Null -> ()
       | v ->
           let seen =
@@ -102,7 +104,7 @@ let feed_agg ctx row (kind : Plan.agg_kind) st =
             st.count <- st.count + 1
           end)
   | Plan.Sum e | Plan.Avg e -> (
-      match arg e with
+      match Expr.eval ctx.fenv row e with
       | Value.Null -> ()
       | Value.Int i ->
           st.count <- st.count + 1;
@@ -114,14 +116,14 @@ let feed_agg ctx row (kind : Plan.agg_kind) st =
           st.sum_float <- st.sum_float +. f
       | v -> fail "SUM/AVG over non-numeric value %s" (Value.to_string v))
   | Plan.Min e -> (
-      match arg e with
+      match Expr.eval ctx.fenv row e with
       | Value.Null -> ()
       | v ->
           st.count <- st.count + 1;
           if Value.is_null st.extreme || Value.compare v st.extreme < 0 then
             st.extreme <- v)
   | Plan.Max e -> (
-      match arg e with
+      match Expr.eval ctx.fenv row e with
       | Value.Null -> ()
       | v ->
           st.count <- st.count + 1;
@@ -179,6 +181,83 @@ let finish_agg (kind : Plan.agg_kind) st : Value.t =
       else Value.Float (st.sum_float /. float_of_int st.count)
   | Plan.Min _ | Plan.Max _ -> st.extreme
 
+(* The group fold shared by every aggregation path: per GROUP BY key,
+   the aggregate states and the label accumulator (a group's label is
+   the union of its rows' labels), plus first-seen key order.  Serial
+   aggregation folds every row into one table; parallel aggregation
+   folds each worker's rows into its own and merges them at the
+   barrier. *)
+type groups = {
+  g_tbl : (Value.t list, agg_state array * label_acc) Hashtbl.t;
+  mutable g_order : Value.t list list; (* reverse first-seen order *)
+}
+
+let new_groups () = { g_tbl = Hashtbl.create 64; g_order = [] }
+
+let group g ~aggs k =
+  match Hashtbl.find_opt g.g_tbl k with
+  | Some s -> s
+  | None ->
+      let s =
+        ( Array.map (fun _ -> new_agg_state ()) aggs,
+          { acc_label = Label.empty; acc_last = Label.empty } )
+      in
+      Hashtbl.replace g.g_tbl k s;
+      g.g_order <- k :: g.g_order;
+      s
+
+(* [fold_row ctx g ~keys ~aggs row] folds one row into its group. *)
+let fold_row ctx g ~keys ~aggs row =
+  (* left to right: a key may call a user function with effects *)
+  let rec key i =
+    if i = Array.length keys then []
+    else
+      let v = Expr.eval ctx.fenv row keys.(i) in
+      v :: key (i + 1)
+  in
+  let states, lbl = group g ~aggs (key 0) in
+  absorb_label lbl row;
+  for i = 0 to Array.length aggs - 1 do
+    feed_agg ctx row aggs.(i) states.(i)
+  done
+
+(* Fold [from]'s groups into [into], in [from]'s first-seen order. *)
+let merge_groups ~aggs into from =
+  List.iter
+    (fun k ->
+      let states_f, lbl_f = Hashtbl.find from.g_tbl k in
+      match Hashtbl.find_opt into.g_tbl k with
+      | None ->
+          Hashtbl.replace into.g_tbl k (states_f, lbl_f);
+          into.g_order <- k :: into.g_order
+      | Some (states, lbl) ->
+          Array.iteri
+            (fun i kind -> merge_agg kind states.(i) states_f.(i))
+            aggs;
+          lbl.acc_last <- Label.empty;
+          lbl.acc_label <- Label.union lbl.acc_label lbl_f.acc_label)
+    (List.rev from.g_order)
+
+let finish_groups g ~keys ~aggs : Tuple.t list =
+  if Hashtbl.length g.g_tbl = 0 && Array.length keys = 0 then
+    (* SQL: aggregates over an empty input with no GROUP BY yield one
+       row of identities *)
+    [
+      Tuple.make
+        ~values:(Array.map (fun kind -> finish_agg kind (new_agg_state ())) aggs)
+        ~label:Label.empty;
+    ]
+  else
+    List.rev_map
+      (fun k ->
+        let states, lbl = Hashtbl.find g.g_tbl k in
+        Tuple.make
+          ~values:
+            (Array.append (Array.of_list k)
+               (Array.mapi (fun i kind -> finish_agg kind states.(i)) aggs))
+          ~label:lbl.acc_label)
+      g.g_order
+
 (* --- parallel-safety --------------------------------------------- *)
 
 (* An expression may be evaluated on a worker domain only when it
@@ -211,6 +290,12 @@ let par_safe_agg (kind : Plan.agg_kind) =
   | Plan.Count e | Plan.Count_distinct e | Plan.Sum e | Plan.Avg e
   | Plan.Min e | Plan.Max e ->
       par_safe_expr e
+
+(* An aggregate may run over a fused pipeline when its group keys and
+   arguments are safe to evaluate inside a scan callback, on any
+   domain. *)
+let fusable_aggregate ~keys ~aggs =
+  Array.for_all par_safe_expr keys && Array.for_all par_safe_agg aggs
 
 (* --- joins -------------------------------------------------------- *)
 
@@ -310,18 +395,20 @@ let join ctx ~left_rows ~right ~kind ~cond ~right_arity ~equi () =
           | `Left, ms -> List.to_seq ms)
         left_rows
 
-(* --- parallel pipelines ------------------------------------------- *)
+(* --- fused push pipelines ----------------------------------------- *)
 
-(* Compile a plan subtree into a morsel source when every operator in
-   it is morsel-local: a sequential scan at the leaf, with filters,
-   projections and declassification fused on top.  Per-row work then
-   runs on the worker domain that owns the morsel.  Anything else
-   (index scans, sorts, limits, subqueries, user functions) returns
-   [None] and executes serially. *)
-let rec compile_pipe ctx par (plan : Plan.t) : morsel_source option =
+(* Compile a plan subtree into a push source when every operator in it
+   is row-local: a sequential scan at the leaf, from [scan], with
+   filters, projections, declassification and ordinary view boundaries
+   fused on top.  Per-row work then runs inside the scan's callback — on
+   the worker domain that owns a morsel ([par_scan]), or on the caller's
+   domain over the whole table ([ctx.scan_push]).  Anything else (index
+   scans, sorts, limits, subqueries, user functions) returns [None] and
+   runs on the lazy interpreter. *)
+let rec compile_pipe ctx ~scan (plan : Plan.t) : morsel_source option =
   match plan with
   | Plan.Scan { sc_table; sc_extra; sc_prefix = None; _ } ->
-      par.par_scan ~table:sc_table ~extra:sc_extra
+      scan ~table:sc_table ~extra:sc_extra
   | Plan.Filter (src, pred) when par_safe_expr pred ->
       Option.map
         (fun ms ->
@@ -330,7 +417,7 @@ let rec compile_pipe ctx par (plan : Plan.t) : morsel_source option =
               (fun i emit ->
                 ms.ms_run i (fun row ->
                     if Expr.eval_pred ctx.fenv row pred then emit row)) })
-        (compile_pipe ctx par src)
+        (compile_pipe ctx ~scan src)
   | Plan.Project (src, exprs) when Array.for_all par_safe_expr exprs ->
       Option.map
         (fun ms ->
@@ -347,7 +434,7 @@ let rec compile_pipe ctx par (plan : Plan.t) : morsel_source option =
                          Tuple.make_interned ~values ~label:(Tuple.label row)
                            ~label_id:lid
                        else Tuple.make ~values ~label:(Tuple.label row)))) })
-        (compile_pipe ctx par src)
+        (compile_pipe ctx ~scan src)
   | Plan.Declassify (src, lbl, relabel) ->
       (* ctx.strip only reads authority state (compound membership),
          which is immutable during a read-only parallel section *)
@@ -360,7 +447,10 @@ let rec compile_pipe ctx par (plan : Plan.t) : morsel_source option =
                     emit
                       (Tuple.make ~values:(Tuple.values row)
                          ~label:(ctx.strip lbl relabel (Tuple.label row))))) })
-        (compile_pipe ctx par src)
+        (compile_pipe ctx ~scan src)
+  (* an ordinary view is its expansion; a materialized one may be
+     served from maintained state, which no scan produces *)
+  | Plan.View { v_mat = false; v_child; _ } -> compile_pipe ctx ~scan v_child
   | _ -> None
 
 (* [parallel_for], with per-worker task attribution recorded into the
@@ -396,68 +486,16 @@ let par_collect ?(tnode = None) par ms : Tuple.t list =
    whichever worker saw the group first — SQL leaves it unspecified,
    and the equivalence tests compare multisets. *)
 let par_aggregate ?(tnode = None) ctx par ms ~keys ~aggs : Tuple.t list =
-  let nslots = Domain_pool.parallelism par.par_pool in
   let slots =
-    Array.init nslots (fun _ ->
-        (Hashtbl.create 64
-          : (Value.t list, agg_state array * label_acc) Hashtbl.t))
+    Array.init (Domain_pool.parallelism par.par_pool) (fun _ -> new_groups ())
   in
-  let orders = Array.make nslots [] in
   traced_parallel_for tnode par.par_pool ~width:par.par_width
     ~tasks:ms.ms_morsels (fun ~worker i ->
-      let groups = slots.(worker) in
-      ms.ms_run i (fun row ->
-          let k =
-            Array.to_list (Array.map (fun e -> Expr.eval ctx.fenv row e) keys)
-          in
-          let states, lbl =
-            match Hashtbl.find_opt groups k with
-            | Some s -> s
-            | None ->
-                let s =
-                  ( Array.map (fun _ -> new_agg_state ()) aggs,
-                    { acc_label = Label.empty; acc_last = Label.empty } )
-                in
-                Hashtbl.replace groups k s;
-                orders.(worker) <- k :: orders.(worker);
-                s
-          in
-          absorb_label lbl row;
-          Array.iteri (fun i kind -> feed_agg ctx row kind states.(i)) aggs));
-  let merged : (Value.t list, agg_state array * label_acc) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let order = ref [] in
-  for w = 0 to nslots - 1 do
-    List.iter
-      (fun k ->
-        let states_w, lbl_w = Hashtbl.find slots.(w) k in
-        match Hashtbl.find_opt merged k with
-        | None ->
-            Hashtbl.replace merged k (states_w, lbl_w);
-            order := k :: !order
-        | Some (states, lbl) ->
-            Array.iteri
-              (fun i kind -> merge_agg kind states.(i) states_w.(i))
-              aggs;
-            lbl.acc_last <- Label.empty;
-            lbl.acc_label <- Label.union lbl.acc_label lbl_w.acc_label)
-      (List.rev orders.(w))
+      ms.ms_run i (fold_row ctx slots.(worker) ~keys ~aggs));
+  for w = 1 to Array.length slots - 1 do
+    merge_groups ~aggs slots.(0) slots.(w)
   done;
-  let emit k (states, lbl) =
-    Tuple.make
-      ~values:
-        (Array.append (Array.of_list k)
-           (Array.mapi (fun i kind -> finish_agg kind states.(i)) aggs))
-      ~label:lbl.acc_label
-  in
-  if Hashtbl.length merged = 0 && Array.length keys = 0 then
-    [
-      Tuple.make
-        ~values:(Array.map (fun kind -> finish_agg kind (new_agg_state ())) aggs)
-        ~label:Label.empty;
-    ]
-  else List.rev_map (fun k -> emit k (Hashtbl.find merged k)) !order
+  finish_groups slots.(0) ~keys ~aggs
 
 (* Parallel hash join: partitioned build, then a morsel-parallel probe
    over the left pipe.  The right side is materialized first (itself
@@ -587,17 +625,13 @@ and par_run ctx tnode (plan : Plan.t) : Tuple.t list option =
   | None -> None
   | Some par -> (
       match plan with
-      | Plan.Scan _ | Plan.Filter _ | Plan.Project _ | Plan.Declassify _ -> (
-          match compile_pipe ctx par plan with
-          | Some ms when ms.ms_morsels >= 2 -> Some (par_collect ~tnode par ms)
-          | Some _ | None -> None)
-      | Plan.Aggregate { src; keys; aggs }
-        when Array.for_all par_safe_expr keys
-             && Array.for_all par_safe_agg aggs -> (
-          match compile_pipe ctx par src with
-          | Some ms when ms.ms_morsels >= 2 ->
-              Some (par_aggregate ~tnode ctx par ms ~keys ~aggs)
-          | Some _ | None -> None)
+      | Plan.Scan _ | Plan.Filter _ | Plan.Project _ | Plan.Declassify _ ->
+          Option.map (par_collect ~tnode par)
+            (compile_pipe ctx ~scan:par.par_scan plan)
+      | Plan.Aggregate { src; keys; aggs } when fusable_aggregate ~keys ~aggs ->
+          Option.map
+            (fun ms -> par_aggregate ~tnode ctx par ms ~keys ~aggs)
+            (compile_pipe ctx ~scan:par.par_scan src)
       | Plan.Join
           { left; right; kind; cond; left_arity = _; right_arity;
             equi = _ :: _ as pairs; probe = None }
@@ -605,13 +639,13 @@ and par_run ctx tnode (plan : Plan.t) : Tuple.t list option =
              && List.for_all
                   (fun (le, re) -> par_safe_expr le && par_safe_expr re)
                   pairs -> (
-          match compile_pipe ctx par left with
-          | Some left_ms when left_ms.ms_morsels >= 2 ->
+          match compile_pipe ctx ~scan:par.par_scan left with
+          | Some left_ms ->
               let right_rows = List.of_seq (run ctx right) in
               Some
                 (par_hash_join ~tnode ctx par ~left_ms ~right_rows ~kind ~cond
                    ~right_arity ~pairs)
-          | Some _ | None -> None)
+          | None -> None)
       | _ -> None)
 
 and run_serial ctx (plan : Plan.t) : Tuple.t Seq.t =
@@ -660,45 +694,24 @@ and run_serial ctx (plan : Plan.t) : Tuple.t Seq.t =
           join ctx ~left_rows:(run ctx left) ~right:(run ctx right) ~kind ~cond
             ~right_arity ~equi ())
   | Plan.Aggregate { src; keys; aggs } ->
-      let groups : (Value.t list, agg_state array * label_acc) Hashtbl.t =
-        Hashtbl.create 64
-      in
-      let order = ref [] in
-      Seq.iter
-        (fun row ->
-          let k = Array.to_list (Array.map (fun e -> Expr.eval ctx.fenv row e) keys) in
-          let states, lbl =
-            match Hashtbl.find_opt groups k with
-            | Some s -> s
-            | None ->
-                let s =
-                  ( Array.map (fun _ -> new_agg_state ()) aggs,
-                    { acc_label = Label.empty; acc_last = Label.empty } )
-                in
-                Hashtbl.replace groups k s;
-                order := k :: !order;
-                s
-          in
-          absorb_label lbl row;
-          Array.iteri (fun i kind -> feed_agg ctx row kind states.(i)) aggs)
-        (run ctx src);
-      let emit k (states, lbl) =
-        Tuple.make
-          ~values:
-            (Array.append (Array.of_list k)
-               (Array.mapi (fun i kind -> finish_agg kind states.(i)) aggs))
-          ~label:lbl.acc_label
-      in
-      if Hashtbl.length groups = 0 && Array.length keys = 0 then
-        (* SQL: aggregates over an empty input with no GROUP BY yield
-           one row of identities *)
-        Seq.return
-          (Tuple.make
-             ~values:(Array.map (fun kind -> finish_agg kind (new_agg_state ())) aggs)
-             ~label:Label.empty)
-      else
-        List.to_seq
-          (List.rev_map (fun k -> emit k (Hashtbl.find groups k)) !order)
+      let g = new_groups () in
+      let fold = fold_row ctx g ~keys ~aggs in
+      (* a fusable source is pushed through the scan callback on this
+         domain, as a parallel worker runs a morsel; anything else is
+         pulled through the lazy interpreter *)
+      (match
+         if fusable_aggregate ~keys ~aggs then
+           compile_pipe ctx
+             ~scan:(fun ~table ~extra -> Some (ctx.scan_push ~table ~extra))
+             src
+         else None
+       with
+      | Some ms ->
+          for i = 0 to ms.ms_morsels - 1 do
+            ms.ms_run i fold
+          done
+      | None -> Seq.iter fold (run ctx src));
+      List.to_seq (finish_groups g ~keys ~aggs)
   | Plan.Distinct src ->
       let seen : (Value.t list * Label.t, unit) Hashtbl.t = Hashtbl.create 64 in
       Seq.filter

@@ -25,7 +25,8 @@ type morsel_source = {
 }
 (** One table scan cut into independently runnable row ranges
     (morsel-driven parallelism).  Morsel order concatenated equals the
-    serial scan order. *)
+    serial scan order.  A scan that provably sees nothing has no
+    morsels. *)
 
 type par = {
   par_pool : Domain_pool.t;
@@ -33,7 +34,8 @@ type par = {
   par_scan : table:string -> extra:Label.t -> morsel_source option;
       (** morsel-cut counterpart of [scan_table]; [None] when the table
           is too small to be worth cutting (the executor then falls
-          back to the serial path) *)
+          back to the serial path), otherwise at least two morsels, or
+          none for a label-empty scan *)
 }
 (** Parallel-execution hooks.  Parallelism is read-only within the
     session's snapshot: the core only installs [par] for plans that
@@ -44,6 +46,13 @@ type ctx = {
   scan_table : string -> extra:Label.t -> Tuple.t Seq.t;
       (** all rows of a table the current process may see, given
           [extra] additional readable tags (from declassifying views) *)
+  scan_push : table:string -> extra:Label.t -> morsel_source;
+      (** the rows of [scan_table] as a push source over the whole table
+          (one morsel, none when label-empty), for fused pipelines run on
+          the caller's domain: a serial aggregate over a
+          scan/filter/project/declassify source folds rows inside the
+          scan's callback instead of pulling them through a lazy
+          sequence *)
   scan_prefix :
     table:string -> index:string -> prefix:Value.t array ->
     lo:(Value.t * bool) option -> hi:(Value.t * bool) option ->

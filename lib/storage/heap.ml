@@ -238,82 +238,156 @@ let to_seq t =
    produces versions in {e global vid order}, so its output order does
    not depend on how labels interleave (the parallel executor compares
    exact output order against the serial scan).  Each partition's vid
-   directory is ascending, so a k-way cursor merge reproduces insertion
-   order while never touching a pruned partition's slots or pages. *)
+   directory is ascending, so merging the kept directories reproduces
+   insertion order while never touching a pruned partition's slots or
+   pages.
 
-(* the kept partitions, with a cursor positioned at the first vid >=
-   [lo]; partitions with no vids in [lo, hi) drop out *)
-let merge_cursors t ~keep ~lo ~hi =
-  Hashtbl.fold
-    (fun lid p acc ->
-      if p.p_count > 0 && keep lid then begin
-        (* binary search for the first directory position with vid >= lo *)
-        let a = ref 0 and b = ref p.p_len in
-        while !a < !b do
-          let m = (!a + !b) / 2 in
-          if p.p_vids.(m) < lo then a := m + 1 else b := m
-        done;
-        if !a < p.p_len && p.p_vids.(!a) < hi then (p, ref !a) :: acc
-        else acc
+   The merge keeps one cursor per kept partition in a binary min-heap
+   keyed by the cursor's next vid, and gallops: the top cursor keeps
+   emitting while its vids stay below [m_bound], the smallest head among
+   the other cursors, so only the end of a run consults the heap: a
+   version inside a run costs O(1), one ending a run O(log k). *)
+
+type cursor = { c_part : partition; mutable c_pos : int }
+
+let head c = c.c_part.p_vids.(c.c_pos)
+
+type merge = {
+  m_cursors : cursor array; (* a min-heap on [head] over [0, m_size) *)
+  mutable m_size : int;
+  m_hi : int;               (* vids at or past [m_hi] end a cursor *)
+  mutable m_bound : int;    (* the top may emit vids below this unheaped *)
+  mutable m_last_page : int; (* one buffer-pool touch per page change *)
+}
+
+let sift_down m i =
+  let cs = m.m_cursors and n = m.m_size in
+  let c = cs.(i) in
+  let h = head c in
+  let rec go i =
+    let l = (2 * i) + 1 in
+    if l >= n then i
+    else
+      let r = l + 1 in
+      let s = if r < n && head cs.(r) < head cs.(l) then r else l in
+      if head cs.(s) >= h then i
+      else begin
+        cs.(i) <- cs.(s);
+        go s
       end
-      else acc)
-    t.parts []
+  in
+  cs.(go i) <- c
+
+(* the smallest head below the top: one of the root's children *)
+let reset_bound m =
+  let cs = m.m_cursors in
+  m.m_bound <-
+    (match m.m_size with
+    | 0 | 1 -> max_int
+    | 2 -> head cs.(1)
+    | _ -> min (head cs.(1)) (head cs.(2)))
+
+(* Cursors over the kept partitions, each at its first vid >= [lo];
+   partitions with no vid in [lo, hi) drop out.  Reads only the
+   directories: no slot or page is visited here. *)
+let merge_start t ~keep ~lo ~hi =
+  let cursors =
+    Hashtbl.fold
+      (fun lid p acc ->
+        if p.p_count > 0 && keep lid then begin
+          (* binary search for the first position with vid >= lo *)
+          let a = ref 0 and b = ref p.p_len in
+          while !a < !b do
+            let m = (!a + !b) / 2 in
+            if p.p_vids.(m) < lo then a := m + 1 else b := m
+          done;
+          if !a < p.p_len && p.p_vids.(!a) < hi then
+            { c_part = p; c_pos = !a } :: acc
+          else acc
+        end
+        else acc)
+      t.parts []
+  in
+  let m =
+    {
+      m_cursors = Array.of_list cursors;
+      m_size = List.length cursors;
+      m_hi = hi;
+      m_bound = max_int;
+      m_last_page = -1;
+    }
+  in
+  for i = (m.m_size / 2) - 1 downto 0 do
+    sift_down m i
+  done;
+  reset_bound m;
+  m
+
+(* The next vid in global order, or -1 once every cursor is done.  The
+   directory length is re-read on each step, so a lazy merge sees
+   versions a kept partition appended after it started, as a full scan
+   would. *)
+let merge_next m =
+  if m.m_size = 0 then -1
+  else begin
+    let top = m.m_cursors.(0) in
+    let p = top.c_part in
+    let vid = p.p_vids.(top.c_pos) in
+    let next = top.c_pos + 1 in
+    if next < p.p_len && p.p_vids.(next) < m.m_hi then begin
+      top.c_pos <- next;
+      if p.p_vids.(next) > m.m_bound then begin
+        (* the run ended: another cursor holds a smaller vid *)
+        sift_down m 0;
+        reset_bound m
+      end
+    end
+    else begin
+      (* the top is exhausted: the last cursor takes its place *)
+      let last = m.m_size - 1 in
+      m.m_size <- last;
+      if last > 0 then begin
+        m.m_cursors.(0) <- m.m_cursors.(last);
+        sift_down m 0
+      end;
+      reset_bound m
+    end;
+    vid
+  end
+
+(* the version at [vid], charging its page when the page changed; [None]
+   for a slot vacuumed since its directory entry was appended *)
+let merge_fetch t m vid =
+  match t.slots.(vid) with
+  | None -> None
+  | Some v as slot ->
+      if v.page <> m.m_last_page then begin
+        Buffer_pool.touch t.bp v.page;
+        m.m_last_page <- v.page
+      end;
+      slot
 
 let iter_merge_range t ~keep ~lo ~hi f =
-  let lo = max 0 lo and hi = min hi t.len in
-  let cursors = ref (merge_cursors t ~keep ~lo ~hi) in
-  let last_page = ref (-1) in
-  while !cursors <> [] do
-    (* pick the cursor holding the smallest next vid; partitions are
-       few, so a linear min beats a heap *)
-    let best = ref (List.hd !cursors) in
-    List.iter
-      (fun ((p, pos) as c) ->
-        let bp, bpos = !best in
-        if p.p_vids.(!pos) < bp.p_vids.(!bpos) then best := c)
-      (List.tl !cursors);
-    let p, pos = !best in
-    let vid = p.p_vids.(!pos) in
-    incr pos;
-    if !pos >= p.p_len || p.p_vids.(!pos) >= hi then
-      cursors := List.filter (fun (q, _) -> q != p) !cursors;
-    (match t.slots.(vid) with
-    | None -> () (* vacuumed since the directory entry was appended *)
-    | Some v ->
-        if v.page <> !last_page then begin
-          Buffer_pool.touch t.bp v.page;
-          last_page := v.page
-        end;
-        f v)
-  done
+  let m = merge_start t ~keep ~lo:(max 0 lo) ~hi:(min hi t.len) in
+  let rec loop () =
+    let vid = merge_next m in
+    if vid >= 0 then begin
+      (match merge_fetch t m vid with Some v -> f v | None -> ());
+      loop ()
+    end
+  in
+  loop ()
 
 let iter_merge t ~keep f = iter_merge_range t ~keep ~lo:0 ~hi:t.len f
 
 let seq_merge t ~keep : version Seq.t =
-  let cursors = ref (merge_cursors t ~keep ~lo:0 ~hi:t.len) in
-  let last_page = ref (-1) in
+  let m = merge_start t ~keep ~lo:0 ~hi:max_int in
   let rec next () =
-    match !cursors with
-    | [] -> Seq.Nil
-    | first :: rest ->
-        let best = ref first in
-        List.iter
-          (fun ((p, pos) as c) ->
-            let bp, bpos = !best in
-            if p.p_vids.(!pos) < bp.p_vids.(!bpos) then best := c)
-          rest;
-        let p, pos = !best in
-        let vid = p.p_vids.(!pos) in
-        incr pos;
-        if !pos >= p.p_len then
-          cursors := List.filter (fun (q, _) -> q != p) !cursors;
-        (match t.slots.(vid) with
-        | None -> next ()
-        | Some v ->
-            if v.page <> !last_page then begin
-              Buffer_pool.touch t.bp v.page;
-              last_page := v.page
-            end;
-            Seq.Cons (v, next))
+    let vid = merge_next m in
+    if vid < 0 then Seq.Nil
+    else
+      match merge_fetch t m vid with
+      | Some v -> Seq.Cons (v, next)
+      | None -> next ()
   in
   next

@@ -128,12 +128,20 @@ val iter_merge : t -> keep:(int -> bool) -> (version -> unit) -> unit
 (** Scan only the partitions whose label id [keep] accepts, merged into
     global vid order — the same versions, in the same order, as {!iter}
     followed by a per-tuple label filter, but without ever touching a
-    pruned partition's slots or pages. *)
+    pruned partition's slots or pages.
+
+    Cost: the merge keeps one cursor per kept partition in a binary
+    min-heap keyed by its next vid and gallops — the top cursor emits
+    while its vids stay below every other cursor's head.  A version
+    costs O(1) inside a partition's vid run and O(log k) at the end of
+    one, so O(log k) over k partitions that interleave row by row, plus
+    O(k log p) to position the cursors over directories of p entries. *)
 
 val iter_merge_range :
   t -> keep:(int -> bool) -> lo:int -> hi:int -> (version -> unit) -> unit
 (** {!iter_merge} restricted to vids in [\[lo, hi)] — one morsel of a
-    pruned parallel scan.  Charges each distinct page once per call.
+    pruned parallel scan.  Same merge and cost.  Charges one buffer-pool
+    touch per page change, as {!iter} does.
     Morsels run concurrently on worker domains, which is safe because
     {!Buffer_pool} touches are thread-safe and the [version] fields read
     here ([vid], [tuple], [page]) are immutable after insert; [xmin] and
@@ -141,4 +149,10 @@ val iter_merge_range :
     concurrently with a read-only parallel scan. *)
 
 val seq_merge : t -> keep:(int -> bool) -> version Seq.t
-(** Lazy {!iter_merge}. *)
+(** Lazy {!iter_merge}, on the same merge core and at the same cost.  It
+    stays element-at-a-time lazy: pulling one version advances the merge
+    by one version and touches at most that version's page, so [LIMIT]
+    and probe joins stop early.  Versions a kept partition appends
+    while the sequence is being consumed are seen if that partition's
+    cursor has not run out yet.  The sequence is ephemeral: consume it
+    once. *)

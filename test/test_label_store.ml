@@ -140,6 +140,51 @@ let test_flow_cache_disabled () =
   Alcotest.(check int) "every probe recomputes" 5 s.flow_misses;
   Alcotest.(check int) "never hits" 0 s.flow_hits
 
+(* The domain-local memo must not pin verdicts of stores nobody holds:
+   a process that creates many databases (one per benchmark repeat, one
+   per test) would otherwise grow with every store it ever probed. *)
+let test_dropped_stores_release_memo () =
+  let memoize_in_fresh_store () =
+    let a, p = mk_auth () in
+    let owner = p "owner" in
+    let tags = List.init 33 (fun i -> mk_tag a owner (Printf.sprintf "t%d" i)) in
+    let store = Label_store.create a in
+    let ids =
+      List.map (fun t -> Label_store.intern store (Label.singleton t)) tags
+    in
+    (* 33 singletons give 33 * 32 ordered pairs of distinct labels *)
+    let pairs =
+      List.concat_map
+        (fun src ->
+          List.filter_map
+            (fun dst -> if src <> dst then Some (src, dst) else None)
+            ids)
+        ids
+    in
+    List.iteri
+      (fun i (src, dst) ->
+        if i < 1000 then ignore (Label_store.flows_id store ~src ~dst))
+      pairs;
+    Alcotest.(check int) "1000 verdicts derived" 1000
+      (Label_store.stats store).flow_misses
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.quick_stat ()).Gc.live_words
+  in
+  (* the first store sizes this domain's memo table *)
+  memoize_in_fresh_store ();
+  let before = live_words () in
+  for _ = 1 to 200 do
+    memoize_in_fresh_store ()
+  done;
+  let grown_mb =
+    float_of_int ((live_words () - before) * (Sys.word_size / 8)) /. 1e6
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "live heap grew %.2f MB over 200 dropped stores" grown_mb)
+    true (grown_mb < 1.0)
+
 (* ------------------------------------------------------------------ *)
 (* Invalidation: any authority-state mutation drops cached verdicts    *)
 (* ------------------------------------------------------------------ *)
@@ -331,6 +376,8 @@ let suites =
         Alcotest.test_case "memoization stats" `Quick test_flow_memoization_stats;
         Alcotest.test_case "flow_cache:false recomputes" `Quick
           test_flow_cache_disabled;
+        Alcotest.test_case "dropped stores release the domain memo" `Quick
+          test_dropped_stores_release_memo;
         Alcotest.test_case "invalidated by compound-tag creation" `Quick
           test_invalidate_on_compound_creation;
         Alcotest.test_case "invalidated by delegation" `Quick

@@ -13,10 +13,13 @@
    A random labeled DML + query trace is replayed against a database
    and against a list of (label mask, id, v) rows, and every outcome is
    compared: result rows and their labels, affected-row counts, error
-   classes, the Write-Rule audit events and the final state.  A fixed
+   classes, the Write-Rule audit events and the final state.  Aggregate
+   queries — COUNT/SUM, a filtered SUM, GROUP BY, and GROUP BY through a
+   declassifying view — are compared by value and by label, a group's
+   label being the union of its contributing rows' labels.  A fixed
    preload puts the table above two morsels, so at a multi-domain
    setting ([IFDB_TEST_PARALLELISM]) queries take the merged morsel
-   path. *)
+   path; on one domain the aggregates take the fused serial path. *)
 
 module Db = Ifdb_core.Database
 module Errors = Ifdb_core.Errors
@@ -43,12 +46,14 @@ type op =
   | Update of int * int * int  (* id, new v, session label mask *)
   | Delete of int * int        (* id, session label mask *)
   | Query of int               (* reader label mask *)
+  | Aggregate of int * int     (* query in [agg_queries], reader mask *)
 
 let pp_op = function
   | Insert (id, v, m) -> Printf.sprintf "Insert(%d,%d,%d)" id v m
   | Update (id, v, m) -> Printf.sprintf "Update(%d,%d,%d)" id v m
   | Delete (id, m) -> Printf.sprintf "Delete(%d,%d)" id m
   | Query m -> Printf.sprintf "Query(%d)" m
+  | Aggregate (q, m) -> Printf.sprintf "Aggregate(%d,%d)" q m
 
 let gen_op =
   QCheck.Gen.(
@@ -59,6 +64,7 @@ let gen_op =
         (2, map3 (fun i x m -> Update (i, x, m)) id v mask);
         (2, map2 (fun i m -> Delete (i, m)) id mask);
         (3, map (fun m -> Query m) mask);
+        (2, map2 (fun q m -> Aggregate (q, m)) (int_bound 3) mask);
       ])
 
 let gen_trace = QCheck.Gen.(list_size (int_range 5 30) gen_op)
@@ -74,6 +80,7 @@ type row = { mask : int; id : int; v : int }
    equal whatever order the scan produced them in. *)
 type outcome =
   | Rows of row list
+  | Groups of (string list * int) list  (* values, label mask; sorted *)
   | Count of int
   | Flow_violation
   | Constraint_violation
@@ -85,6 +92,55 @@ let preload =
 
 let sorted rows = List.sort compare rows
 let visible ~reader r = r.mask land lnot reader = 0
+
+(* [tv] declassifies [ta] (mask bit 1): through it a reader also sees
+   rows carrying [ta], and their labels lose it *)
+let agg_queries =
+  [|
+    "SELECT COUNT(*), SUM(v) FROM t";
+    "SELECT SUM(v) FROM t WHERE v < 5";
+    "SELECT v, COUNT(*) FROM t GROUP BY v";
+    "SELECT v, COUNT(*), SUM(id) FROM tv GROUP BY v";
+  |]
+
+let model_aggregate rows q reader =
+  let sum f rs =
+    match rs with
+    | [] -> "NULL"
+    | rs -> string_of_int (List.fold_left (fun acc r -> acc + f r) 0 rs)
+  in
+  let label rs = List.fold_left (fun acc r -> acc lor r.mask) 0 rs in
+  let by_v rs =
+    List.map
+      (fun v -> (v, List.filter (fun r -> r.v = v) rs))
+      (List.sort_uniq compare (List.map (fun r -> r.v) rs))
+  in
+  let seen = List.filter (visible ~reader) rows in
+  sorted
+    (match q with
+    | 0 ->
+        [ ([ string_of_int (List.length seen); sum (fun r -> r.v) seen ], label seen) ]
+    | 1 ->
+        let low = List.filter (fun r -> r.v < 5) seen in
+        [ ([ sum (fun r -> r.v) low ], label low) ]
+    | 2 ->
+        List.map
+          (fun (v, rs) ->
+            ([ string_of_int v; string_of_int (List.length rs) ], label rs))
+          (by_v seen)
+    | _ ->
+        let through_view =
+          List.map
+            (fun r -> { r with mask = r.mask land lnot 1 })
+            (List.filter (visible ~reader:(reader lor 1)) rows)
+        in
+        List.map
+          (fun (v, rs) ->
+            ( [ string_of_int v;
+                string_of_int (List.length rs);
+                sum (fun r -> r.id) rs ],
+              label rs ))
+          (by_v through_view))
 
 let model_step rows = function
   | Insert (id, v, m) ->
@@ -106,6 +162,7 @@ let model_step rows = function
         ( List.filter (fun r -> not (r.id = id && r.mask = m)) rows,
           Count (List.length hit) )
   | Query m -> (rows, Rows (sorted (List.filter (visible ~reader:m) rows)))
+  | Aggregate (q, m) -> (rows, Groups (model_aggregate rows q m))
 
 (* outcomes, final state (read under both tags), Write-Rule audit
    events *)
@@ -132,6 +189,8 @@ let replay ~parallelism ops =
   let ta = Db.create_tag os ~name:"ta" () in
   let tb = Db.create_tag os ~name:"tb" () in
   ignore (Db.exec admin "CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+  ignore
+    (Db.exec os "CREATE VIEW tv AS SELECT id, v FROM t WITH DECLASSIFYING (ta)");
   let session mask =
     let s = Db.connect db ~principal:owner in
     if mask land 1 <> 0 then Db.add_secrecy s ta;
@@ -156,6 +215,10 @@ let replay ~parallelism ops =
     | exception Errors.Flow_violation _ -> Flow_violation
     | exception Errors.Constraint_violation _ -> Constraint_violation
   in
+  let group_of t =
+    ( List.map Value.to_string (Array.to_list (Tuple.values t)),
+      mask_of (Tuple.label t) )
+  in
   List.iter
     (fun m ->
       let values =
@@ -177,13 +240,17 @@ let replay ~parallelism ops =
             run m (Printf.sprintf "UPDATE t SET v = %d WHERE id = %d" v id)
         | Delete (id, m) ->
             run m (Printf.sprintf "DELETE FROM t WHERE id = %d" id)
-        | Query m -> run m "SELECT id, v FROM t ORDER BY id, v")
+        | Query m -> run m "SELECT id, v FROM t ORDER BY id, v"
+        | Aggregate (q, m) -> (
+            match Db.exec (session m) agg_queries.(q) with
+            | Db.Rows { tuples; _ } -> Groups (sorted (List.map group_of tuples))
+            | _ -> Alcotest.fail "an aggregate query yields rows"))
       ops
   in
   let final =
     match run 3 "SELECT id, v FROM t ORDER BY id, v" with
     | Rows rows -> rows
-    | Count _ | Flow_violation | Constraint_violation -> assert false
+    | Groups _ | Count _ | Flow_violation | Constraint_violation -> assert false
   in
   let flows =
     List.length
@@ -247,6 +314,93 @@ let test_pruning_observable () =
       Alcotest.failf "unexpected partition report (%d tables)"
         (List.length report)
 
+(* A serial aggregate runs its scan/filter source as one fused push
+   pipeline, as the morsel-parallel path does: EXPLAIN ANALYZE still
+   counts the tuples confinement scanned and pruned, and renders the
+   same operator tree on one domain as on two. *)
+let test_fused_aggregate_explain () =
+  let explain ~parallelism =
+    let db = Db.create ~parallelism ~morsel_size:16 () in
+    let admin = Db.connect_admin db in
+    let owner = Db.create_principal admin ~name:"owner" in
+    let os = Db.connect db ~principal:owner in
+    let ta = Db.create_tag os ~name:"ta" () in
+    let tb = Db.create_tag os ~name:"tb" () in
+    ignore (Db.exec admin "CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+    List.iteri
+      (fun g tags ->
+        let s = Db.connect db ~principal:owner in
+        List.iter (Db.add_secrecy s) tags;
+        ignore
+          (Db.exec s
+             ("INSERT INTO t VALUES "
+             ^ String.concat ", "
+                 (List.init 20 (fun i ->
+                      Printf.sprintf "(%d, %d)" ((100 * g) + i) (i mod 10))))))
+      [ []; [ ta ]; [ tb ] ];
+    let reader = Db.connect db ~principal:owner in
+    Db.add_secrecy reader ta;
+    let report, result =
+      Db.explain_analyze reader "SELECT v, COUNT(*) FROM t WHERE v < 5 GROUP BY v"
+    in
+    let groups =
+      match result with
+      | Db.Rows { tuples; _ } ->
+          List.sort compare
+            (List.map
+               (fun t ->
+                 ( List.map Value.to_string (Array.to_list (Tuple.values t)),
+                   Label.to_string (Tuple.label t) ))
+               tuples)
+      | _ -> Alcotest.fail "EXPLAIN ANALYZE of a SELECT yields rows"
+    in
+    let starts_with p l =
+      String.length l >= String.length p && String.sub l 0 (String.length p) = p
+    in
+    (* operator lines read "<indent><operator>  (rows=…)" *)
+    let tree =
+      List.filter_map
+        (fun l ->
+          let rec find i =
+            if i + 8 > String.length l then None
+            else if String.sub l i 8 = "  (rows=" then Some (String.sub l 0 i)
+            else find (i + 1)
+          in
+          find 0)
+        report
+    in
+    let confinement =
+      List.filter (starts_with "label confinement on t:") report
+    in
+    (report, groups, tree, confinement)
+  in
+  let serial, serial_groups, serial_tree, serial_conf = explain ~parallelism:1 in
+  let _, par_groups, par_tree, par_conf = explain ~parallelism:2 in
+  let show r = String.concat "\n" r in
+  Alcotest.(check (list string))
+    ("scanned the kept partitions, pruned the other:\n" ^ show serial)
+    [ "label confinement on t: scanned=40 pruned=20" ]
+    serial_conf;
+  Alcotest.(check (list string)) "same counts on two domains" serial_conf par_conf;
+  let contains sub l =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length l && (String.sub l i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool)
+    ("scan and filter fused into the aggregate:\n" ^ show serial)
+    true
+    (List.exists (contains "Aggregate") serial_tree
+    && not
+         (List.exists
+            (fun l -> contains "Scan" l || contains "Filter" l)
+            serial_tree));
+  Alcotest.(check (list string)) "same tree on two domains" par_tree serial_tree;
+  Alcotest.(check bool) "same groups and labels" true (serial_groups = par_groups);
+  Alcotest.(check int) "five groups" 5 (List.length serial_groups)
+
 (* ------------------------------------------------------------------ *)
 (* IVM deltas skip foreign partitions                                  *)
 (* ------------------------------------------------------------------ *)
@@ -307,6 +461,8 @@ let suites =
         qcheck_model ~count:40 ~parallelism:1 "model oracle (serial)";
         qcheck_model ~count:12 ~parallelism:par_width "model oracle (parallel)";
         Alcotest.test_case "pruning observable" `Quick test_pruning_observable;
+        Alcotest.test_case "fused serial aggregate in EXPLAIN ANALYZE" `Quick
+          test_fused_aggregate_explain;
         Alcotest.test_case "IVM skips foreign partitions" `Quick
           test_ivm_partition_skip;
       ] );

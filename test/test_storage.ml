@@ -232,6 +232,134 @@ let test_heap_partitions () =
   Alcotest.(check int) "vacuumed" 120 removed;
   check_merge "after vacuum"
 
+(* A heap whose version [i] carries label id [lids.(i)]; 300-byte rows
+   put about two dozen versions on a page, so partitions span pages. *)
+let heap_of_lids lids =
+  let bp = Buffer_pool.create () in
+  let h = Heap.create ~name:"t" ~labeled:true ~pool:bp () in
+  Array.iteri
+    (fun i lid ->
+      ignore
+        (Heap.insert h ~xmin:1
+           (Tuple.make_interned ~label:(Label.of_ints [| lid + 1 |])
+              ~label_id:lid
+              ~values:[| Value.Int i; Value.Text (String.make 300 'x') |])))
+    lids;
+  (h, bp)
+
+let touches bp f =
+  Buffer_pool.reset_stats bp;
+  let r = f () in
+  let s = Buffer_pool.stats bp in
+  (r, s.Buffer_pool.hits + s.Buffer_pool.misses)
+
+(* The reference for a merged scan: a full scan in vid order, filtered
+   by label and vid range, and the touches a scan of exactly those
+   versions owes — one per page change. *)
+let filtered_scan h ~keep ~lo ~hi =
+  let acc = ref [] in
+  Heap.iter h (fun v ->
+      let vid = v.Heap.vid in
+      if keep (Tuple.label_id v.Heap.tuple) && vid >= lo && vid < hi then
+        acc := v :: !acc);
+  let vs = List.rev !acc in
+  let changes, _ =
+    List.fold_left
+      (fun (n, last) v ->
+        if v.Heap.page <> last then (n + 1, v.Heap.page) else (n, last))
+      (0, -1) vs
+  in
+  (List.map (fun v -> v.Heap.vid) vs, changes)
+
+type layout = Runs | Round_robin | Mixed
+
+let gen_merge_case =
+  QCheck.Gen.(
+    let* k = int_range 1 64 in
+    let* n = int_bound 700 in
+    let* layout = oneofl [ Runs; Round_robin; Mixed ] in
+    let* lids =
+      match layout with
+      | Runs -> return (Array.init n (fun i -> i * k / max 1 n))
+      | Round_robin -> return (Array.init n (fun i -> i mod k))
+      | Mixed ->
+          (* runs of random length under random labels *)
+          let+ runs =
+            list_size (int_bound 60) (pair (int_bound (k - 1)) (int_range 1 25))
+          in
+          List.concat_map (fun (lid, len) -> List.init len (fun _ -> lid)) runs
+          |> List.filteri (fun i _ -> i < n)
+          |> Array.of_list
+    in
+    let* kept = array_size (return k) bool in
+    let* lo = int_range (-5) (n + 5) in
+    let* hi = int_range (-5) (n + 5) in
+    let* vacuum_mod = int_range 0 6 in
+    return (layout, lids, kept, lo, hi, vacuum_mod))
+
+let print_merge_case (layout, lids, kept, lo, hi, vacuum_mod) =
+  Printf.sprintf "%s %d versions, keep [%s], [%d, %d), vacuum mod %d"
+    (match layout with
+    | Runs -> "runs"
+    | Round_robin -> "round-robin"
+    | Mixed -> "mixed")
+    (Array.length lids)
+    (String.concat ";"
+       (List.filter_map Fun.id
+          (List.mapi (fun i b -> if b then Some (string_of_int i) else None)
+             (Array.to_list kept))))
+    lo hi vacuum_mod
+
+(* Both merged scans equal a filtered full scan, in vid order and in
+   buffer-pool touches, for any layout, keep set and vid range, before
+   and after vacuum punches holes ([vacuum_mod] 0 and 1 vacuum nothing
+   and everything). *)
+let heap_merge_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"merged scans = filtered scan"
+       (QCheck.make ~print:print_merge_case gen_merge_case)
+       (fun (_, lids, kept, lo, hi, vacuum_mod) ->
+         let h, bp = heap_of_lids lids in
+         let keep lid = lid >= 0 && lid < Array.length kept && kept.(lid) in
+         let agree () =
+           let vids_of f =
+             touches bp (fun () ->
+                 let acc = ref [] in
+                 f (fun v -> acc := v.Heap.vid :: !acc);
+                 List.rev !acc)
+           in
+           let ranged = vids_of (Heap.iter_merge_range h ~keep ~lo ~hi) in
+           let whole = vids_of (Heap.iter_merge h ~keep) in
+           let lazy_whole =
+             touches bp (fun () ->
+                 Heap.seq_merge h ~keep
+                 |> Seq.map (fun v -> v.Heap.vid)
+                 |> List.of_seq)
+           in
+           ranged = filtered_scan h ~keep ~lo ~hi
+           && whole = filtered_scan h ~keep ~lo:0 ~hi:max_int
+           && lazy_whole = whole
+         in
+         let before = agree () in
+         if vacuum_mod > 0 then
+           ignore
+             (Heap.vacuum h ~dead:(fun v -> v.Heap.vid mod vacuum_mod = 0));
+         before && agree ()))
+
+(* [seq_merge] stays lazy: the first version of a 60k-version heap in 64
+   interleaved partitions costs one page, not a pass over the heap. *)
+let test_seq_merge_lazy () =
+  let h, bp = heap_of_lids (Array.init 60_000 (fun i -> i mod 64)) in
+  let first, n =
+    touches bp (fun () ->
+        Heap.seq_merge h ~keep:(fun _ -> true)
+        |> Seq.take 1
+        |> Seq.map (fun v -> v.Heap.vid)
+        |> List.of_seq)
+  in
+  Alcotest.(check (list int)) "first version in vid order" [ 0 ] first;
+  Alcotest.(check bool) (Printf.sprintf "%d page touches" n) true (n <= 2)
+
 (* ------------------------------------------------------------------ *)
 (* B+tree                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -550,6 +678,8 @@ let suites =
         Alcotest.test_case "label bytes consume pages" `Quick test_heap_page_packing;
         Alcotest.test_case "iter & vacuum" `Quick test_heap_iter_vacuum;
         Alcotest.test_case "label partitions" `Quick test_heap_partitions;
+        heap_merge_prop;
+        Alcotest.test_case "seq_merge is lazy" `Quick test_seq_merge_lazy;
       ] );
     ( "storage.btree",
       [
