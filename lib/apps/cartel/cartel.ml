@@ -275,9 +275,8 @@ let script_login _t _proc _params = "welcome"
 (* --- setup ---------------------------------------------------------- *)
 
 let setup ?(ifc = true) ?(if_platform = true) ?(users = 8) ?(cars_per_user = 2)
-    ?(capacity_pages = None) ?miss_cost_ns ?write_cost_ns ?label_op_cost_ns
-    ?base_cost_ns () =
-  let db = Db.create ~ifc ~capacity_pages ?miss_cost_ns ?write_cost_ns () in
+    ?(capacity_pages = None) ?miss_cost_ns ?base_cost_ns () =
+  let db = Db.create ~ifc ~capacity_pages ?miss_cost_ns () in
   let sys_session = Db.connect_admin db in
   let sysp = Db.create_principal sys_session ~name:"cartel-system" in
   let sys = Db.connect db ~principal:sysp in
@@ -320,7 +319,7 @@ let setup ?(ifc = true) ?(if_platform = true) ?(users = 8) ?(cars_per_user = 2)
   let t =
     {
       db;
-      web = Web.create ~if_platform ?base_cost_ns ?label_op_cost_ns db;
+      web = Web.create ~if_platform ?base_cost_ns db;
       sys;
       all_drives;
       all_locations;

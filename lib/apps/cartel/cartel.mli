@@ -55,14 +55,17 @@ val setup :
   ?cars_per_user:int ->
   ?capacity_pages:int option ->
   ?miss_cost_ns:int ->
-  ?write_cost_ns:int ->
-  ?label_op_cost_ns:int ->
   ?base_cost_ns:int ->
   unit ->
   t
 (** Build the database (schema, tags, users, cars, triggers) and the
     web tier with all Figure 3 routes registered.  [ifc:false] +
-    [if_platform:false] is the paper's baseline (PostgreSQL + PHP). *)
+    [if_platform:false] is the paper's baseline (PostgreSQL + PHP).
+    [capacity_pages] and [miss_cost_ns] size the database's buffer pool
+    and its modeled miss cost ({!Ifdb_core.Database.create}),
+    [base_cost_ns] the web tier's per-request cost
+    ({!Ifdb_platform.Web.create}); every other cost is its component's
+    default. *)
 
 val user : t -> int -> user
 

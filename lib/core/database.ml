@@ -150,7 +150,6 @@ and t = {
       (* statement-lifecycle span recorder; sampling off by default
          ([trace_sample = 0]), in which case the statement path costs
          one atomic read and no clock *)
-  plan_cache_on : bool;
   pc_mu : Mutex.t;
   pc_alias : (string, string) Hashtbl.t;
       (* trimmed raw statement text → canonical printed text, so the
@@ -2016,13 +2015,8 @@ let explain_analyze_select s sel : string list * result =
       (* probe the implicit plan cache exactly as [exec] would, so the
          report shows what a real execution of this text pays *)
       let stmt = A.S_select sel in
-      let cache =
-        if db.plan_cache_on then
-          implicit_cache_admit db (Printer.stmt_to_string stmt) stmt
-        else None
-      in
       let plan, columns, notes =
-        match cache with
+        match implicit_cache_admit db (Printer.stmt_to_string stmt) stmt with
         | Some sc when sc.sc_cacheable ->
             let plan, columns, hit = cached_plan s sc sel in
             (plan, columns,
@@ -2038,9 +2032,9 @@ let explain_analyze_select s sel : string list * result =
       Fun.protect
         ~finally:(fun () -> s.s_trace <- None)
         (fun () ->
-          let t0 = Trace.now_ns () in
+          let t0 = Span.now_ns () in
           let tuples = Executor.run_list (exec_ctx s) plan in
-          let total_ns = Trace.now_ns () - t0 in
+          let total_ns = Span.now_ns () - t0 in
           (* attach the operator tree as spans under an "execute"
              span: per-operator durations are the trace's real
              figures, but start offsets are synthetic — operators
@@ -2299,7 +2293,7 @@ let exec_stmt_guarded ?cache ?parse s stmt =
   (* clock reads only when someone will consume them: the latency
      histogram (metrics on) or the slow-query log (threshold set) *)
   let timed = Metrics.enabled db.metrics || db.slow_ns <> max_int in
-  let t0 = if timed then Trace.now_ns () else 0 in
+  let t0 = if timed then Span.now_ns () else 0 in
   (* span sampling: one atomic fetch-and-add; when it says no (or
      sampling is off), [sctx] is [None] and every instrumentation
      point below reduces to a domain-local load.  A sampled statement
@@ -2360,7 +2354,7 @@ let exec_stmt_guarded ?cache ?parse s stmt =
         | _ -> ());
         Metrics.incr db.mx.mx_statements;
         if timed then begin
-          let ns = Trace.now_ns () - t0 in
+          let ns = Span.now_ns () - t0 in
           Metrics.observe db.mx.mx_latency (float_of_int ns /. 1e9);
           if ns >= db.slow_ns then begin
             Metrics.incr db.mx.mx_slow;
@@ -2403,10 +2397,8 @@ let wrap_errors f =
 let exec s sql_text =
   wrap_errors (fun () ->
       let db = s.sdb in
-      let key = if db.plan_cache_on then String.trim sql_text else sql_text in
-      match
-        if db.plan_cache_on then implicit_cache_find db key else None
-      with
+      let key = String.trim sql_text in
+      match implicit_cache_find db key with
       | Some sc ->
           (* text-level hit: parse skipped entirely.  The analyzer still
              runs per execution inside the guarded path, so diagnostics,
@@ -2426,11 +2418,8 @@ let exec s sql_text =
               let parse =
                 if p0 > 0 then Some (p0, Span.now_ns ()) else None
               in
-              let cache =
-                if db.plan_cache_on then implicit_cache_admit db key stmt
-                else None
-              in
-              exec_stmt_guarded ?cache ?parse s stmt
+              exec_stmt_guarded ?cache:(implicit_cache_admit db key stmt)
+                ?parse s stmt
           | [] -> Errors.sql "empty statement"
           | _ -> Errors.sql "exec expects a single statement; use exec_script"))
 
@@ -2836,24 +2825,20 @@ let register_component_metrics reg ~lstore ~bp ~the_wal ~gc ~audit ~ivm ~cat
     "partitions skipped by label confinement during scans" (fun () ->
       float_of_int (Atomic.get pruned))
 
-let create ?(ifc = true) ?(label_cache = true) ?(isolation = Snapshot)
-    ?(capacity_pages = None) ?(miss_cost_ns = 100_000)
-    ?(write_cost_ns = 60_000) ?(fsync_cost_ns = 200_000) ?(seed = 0x1FDB)
-    ?(parallelism = 1) ?(morsel_size = 1024) ?(commit_batch = 1)
-    ?(sync_commit = false) ?(strict_analysis = false) ?(metrics = true)
-    ?slow_query_ms ?(audit_wal = false) ?(audit_capacity = 4096)
-    ?(plan_cache = true) ?(trace_sample = 0) () =
+let create ?(ifc = true) ?(isolation = Snapshot) ?(capacity_pages = None)
+    ?(miss_cost_ns = 100_000) ?(seed = 0x1FDB) ?(parallelism = 1)
+    ?(morsel_size = 1024) ?(commit_batch = 1) ?(sync_commit = false)
+    ?(strict_analysis = false) ?(metrics = true) ?slow_query_ms
+    ?(audit_wal = false) ?(trace_sample = 0) () =
   let parallelism = max 1 parallelism in
   let morsel_size = max 16 morsel_size in
-  let bp =
-    Buffer_pool.create ~capacity_pages ~miss_cost_ns ~write_cost_ns ()
-  in
-  let the_wal = Wal.create ~fsync_cost_ns () in
+  let bp = Buffer_pool.create ~capacity_pages ~miss_cost_ns () in
+  let the_wal = Wal.create () in
   let auth = Authority.create ~seed () in
   let admin_p =
     Authority.create_principal auth ~actor_label:Label.empty ~name:"admin"
   in
-  let lstore = Label_store.create ~flow_cache:label_cache auth in
+  let lstore = Label_store.create auth in
   let mgr =
     Manager.create ~wal:the_wal
       ~serializable_locking:(isolation = Serializable) ~commit_batch
@@ -2895,7 +2880,7 @@ let create ?(ifc = true) ?(label_cache = true) ?(isolation = Snapshot)
         Some (fun ev -> Wal.append the_wal (Wal.Audit (Audit.event_to_string ev)))
       else None
     in
-    Audit.create ~capacity:audit_capacity ?sink ()
+    Audit.create ?sink ()
   in
   let pruned_parts = Atomic.make 0 in
   register_component_metrics reg ~lstore ~bp ~the_wal
@@ -2995,7 +2980,6 @@ let create ?(ifc = true) ?(label_cache = true) ?(isolation = Snapshot)
         | None -> max_int
         | Some ms -> int_of_float (ms *. 1e6));
       spans = Span.create ~sample_every:trace_sample ();
-      plan_cache_on = plan_cache;
       pc_mu = Mutex.create ();
       pc_alias = Hashtbl.create 64;
       pc_stmts = Hashtbl.create 64;

@@ -48,12 +48,9 @@ type isolation = Snapshot | Serializable
 
 val create :
   ?ifc:bool ->
-  ?label_cache:bool ->
   ?isolation:isolation ->
   ?capacity_pages:int option ->
   ?miss_cost_ns:int ->
-  ?write_cost_ns:int ->
-  ?fsync_cost_ns:int ->
   ?seed:int ->
   ?parallelism:int ->
   ?morsel_size:int ->
@@ -63,16 +60,15 @@ val create :
   ?metrics:bool ->
   ?slow_query_ms:float ->
   ?audit_wal:bool ->
-  ?audit_capacity:int ->
-  ?plan_cache:bool ->
   ?trace_sample:int ->
   unit ->
   t
 (** Defaults: [ifc:true], [Snapshot] isolation (what the paper's
-    PostgreSQL-based prototype runs), unbounded buffer pool.
-    [label_cache] (default on) controls the label store's memoized
-    flow-check cache; labels are interned either way.  Turning it off
-    exists for the ablation benchmark.
+    PostgreSQL-based prototype runs), unbounded buffer pool with a
+    modeled 100 µs miss cost ([miss_cost_ns]).  Labels are always
+    interned and flow checks always memoized ({!label_store}).  The
+    modeled write and fsync costs are {!Ifdb_storage.Buffer_pool}'s and
+    {!Ifdb_storage.Wal}'s defaults (60 µs and 200 µs).
 
     [parallelism] (default 1) sets how many OCaml domains a query may
     use: sequential scans, scan-shaped pipelines, aggregations and
@@ -114,8 +110,8 @@ val create :
 
     [audit_wal] (default off) additionally appends every IFC audit
     event to the WAL as an [Audit] record, making the security stream
-    durable alongside the data it concerns.  [audit_capacity] (default
-    4096) bounds the in-memory audit ring.
+    durable alongside the data it concerns.  The in-memory audit ring
+    keeps the last 4096 events.
 
     Storage is label-sharded: each table's heap pages and index
     entries are physically grouped by interned label id, and scans
@@ -123,16 +119,16 @@ val create :
     the confinement verdict is decided once per partition, not per
     tuple.
 
-    [plan_cache] (default on) enables the generation-stamped plan
-    cache: [PREPARE]d statements keep their parsed body, prepare-time
-    diagnostics and one parameterized plan per session-label id, and
-    {!exec} maintains an implicit database-wide cache keyed on raw
-    statement text for parameter-free SELECTs.  Every cached plan is
-    stamped with the catalog version and authority generation it was
-    planned under and silently re-planned when either moves, and
-    scan-time label confinement is always re-derived per execution —
-    results, labels, audit events and errors are identical with the
-    cache off.
+    The generation-stamped plan cache is always on: [PREPARE]d
+    statements keep their parsed body, prepare-time diagnostics and one
+    parameterized plan per session-label id, and {!exec} maintains an
+    implicit database-wide cache keyed on raw statement text for
+    parameter-free SELECTs.  Every cached plan is stamped with the
+    catalog version and authority generation it was planned under and
+    silently re-planned when either moves, and scan-time label
+    confinement is always re-derived per execution — results, labels,
+    audit events and errors are identical to the uncached path
+    ({!exec_stmt} on a parsed statement).
 
     [trace_sample] (default 0 = off) samples every [n]th statement
     into the span recorder ({!spans}): the sampled statement's full
@@ -245,7 +241,9 @@ val exec_script : session -> string -> result list
 
 val exec_stmt : session -> Ifdb_sql.Ast.stmt -> result
 (** Execute one pre-parsed statement (same guarding and error
-    normalization as {!exec}). *)
+    normalization as {!exec}).  It never consults the plan cache: every
+    call analyzes, plans and executes afresh, the uncached reference
+    path. *)
 
 val query : session -> string -> Tuple.t list
 (** {!exec} restricted to row-returning statements. *)
@@ -497,7 +495,8 @@ val explain_analyze : session -> string -> string list * result
     tree alone), returning the report as [QUERY PLAN] rows. *)
 
 val slow_queries : ?n:int -> t -> Ifdb_obs.Trace.slow_entry list
-(** Most recent slow-query entries, newest first (default 20).  Only
+(** Most recent slow-query entries, newest first (default 20; none for
+    a negative [n]).  Only
     populated when {!create} was given [slow_query_ms].  When the
     statement was also span-sampled, the entry's [sq_trace] links to
     its record in {!spans}. *)

@@ -32,7 +32,6 @@ type stats = {
 
 type t = {
   auth : Authority.t;
-  flow_cache : bool;
   uid : int; (* process-unique store identity, keys the DLS memos *)
   lock : Mutex.t;
   ids : id H.t; (* label -> id *)
@@ -49,11 +48,10 @@ type t = {
 
 let next_uid = Atomic.make 0
 
-let create ?(flow_cache = true) auth =
+let create auth =
   let t =
     {
       auth;
-      flow_cache;
       uid = Atomic.fetch_and_add next_uid 1;
       lock = Mutex.create ();
       ids = H.create 256;
@@ -144,7 +142,7 @@ let flows_id_slow t ~key ~src ~dst =
   Mutex.lock t.lock;
   revalidate t;
   let verdict =
-    match if t.flow_cache then Hashtbl.find_opt t.verdicts key else None with
+    match Hashtbl.find_opt t.verdicts key with
     | Some verdict ->
         Atomic.incr t.flow_hits;
         verdict
@@ -153,7 +151,7 @@ let flows_id_slow t ~key ~src ~dst =
         let verdict =
           Authority.flows t.auth ~src:(label_of t src) ~dst:(label_of t dst)
         in
-        if t.flow_cache then Hashtbl.replace t.verdicts key verdict;
+        Hashtbl.replace t.verdicts key verdict;
         verdict
   in
   Mutex.unlock t.lock;
@@ -163,18 +161,15 @@ let flows_id t ~src ~dst =
   if src = dst || src = empty_id then true
   else begin
     let key = (src lsl 31) lor dst in
-    if not t.flow_cache then flows_id_slow t ~key ~src ~dst
-    else begin
-      let l = local_memo t ~generation:(Authority.generation t.auth) in
-      match Hashtbl.find_opt l.l_verdicts key with
-      | Some verdict ->
-          Atomic.incr t.flow_hits;
-          verdict
-      | None ->
-          let verdict = flows_id_slow t ~key ~src ~dst in
-          Hashtbl.replace l.l_verdicts key verdict;
-          verdict
-    end
+    let l = local_memo t ~generation:(Authority.generation t.auth) in
+    match Hashtbl.find_opt l.l_verdicts key with
+    | Some verdict ->
+        Atomic.incr t.flow_hits;
+        verdict
+    | None ->
+        let verdict = flows_id_slow t ~key ~src ~dst in
+        Hashtbl.replace l.l_verdicts key verdict;
+        verdict
   end
 
 let union_id t a b =

@@ -46,10 +46,9 @@ type stats = {
   invalidations : int; (** wholesale cache drops (generation moved) *)
 }
 
-val create : ?flow_cache:bool -> Authority.t -> t
-(** A store bound to one authority state.  [flow_cache:false] disables
-    verdict memoization ({!flows_id} recomputes every time) while
-    keeping interning — the [labelcache] ablation's off switch. *)
+val create : Authority.t -> t
+(** A store bound to one authority state, holding only the public
+    label. *)
 
 val authority : t -> Authority.t
 

@@ -3,6 +3,7 @@ module Expr = Ifdb_rel.Expr
 module Label = Ifdb_difc.Label
 module Value = Ifdb_rel.Value
 module Trace = Ifdb_obs.Trace
+module Span = Ifdb_obs.Span
 
 type morsel_source = {
   ms_morsels : int;
@@ -593,13 +594,13 @@ let rec run ctx (plan : Plan.t) : Tuple.t Seq.t =
          lazy per-pull time afterwards.  Times are inclusive of
          children, as in Postgres EXPLAIN ANALYZE. *)
       let node = Trace.enter tr (Plan.describe plan) in
-      let t0 = Trace.now_ns () in
+      let t0 = Span.now_ns () in
       let result =
         match par_run ctx (Some node) plan with
         | Some rows -> Either.Left rows
         | None -> Either.Right (run_serial ctx plan)
       in
-      Trace.add_ns node (Trace.now_ns () - t0);
+      Trace.add_ns node (Span.now_ns () - t0);
       Trace.exit_node tr node;
       (match result with
       | Either.Left rows ->
@@ -614,9 +615,9 @@ and run_lazy ctx (plan : Plan.t) : Tuple.t Seq.t =
   | None -> run_serial ctx plan
   | Some tr ->
       let node = Trace.enter tr (Plan.describe plan) in
-      let t0 = Trace.now_ns () in
+      let t0 = Span.now_ns () in
       let s = run_serial ctx plan in
-      Trace.add_ns node (Trace.now_ns () - t0);
+      Trace.add_ns node (Span.now_ns () - t0);
       Trace.exit_node tr node;
       Trace.wrap_seq node s
 

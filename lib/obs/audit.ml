@@ -38,23 +38,15 @@ let event_to_string e =
   Printf.sprintf "#%d %s principal=%s%s%s%s" e.ev_seq (kind_name e.ev_kind)
     e.ev_principal tags detail stmt
 
-type t = {
-  mu : Mutex.t;
-  cap : int;
-  ring : event option array;
-  mutable total : int;
-  sink : (event -> unit) option;
-}
+type t = { ring : event Ring.t; sink : (event -> unit) option }
 
-let create ?(capacity = 4096) ?sink () =
-  let capacity = max 1 capacity in
-  { mu = Mutex.create (); cap = capacity; ring = Array.make capacity None; total = 0; sink }
+let create ?sink () = { ring = Ring.create ~capacity:4096; sink }
 
 let emit t ~kind ~principal ?(tags = []) ?(stmt = "") ?(detail = "") () =
-  Mutex.protect t.mu (fun () ->
+  Ring.push t.ring (fun seq ->
       let e =
         {
-          ev_seq = t.total;
+          ev_seq = seq;
           ev_kind = kind;
           ev_principal = principal;
           ev_tags = tags;
@@ -62,20 +54,11 @@ let emit t ~kind ~principal ?(tags = []) ?(stmt = "") ?(detail = "") () =
           ev_detail = detail;
         }
       in
-      t.ring.(t.total mod t.cap) <- Some e;
-      t.total <- t.total + 1;
-      match t.sink with None -> () | Some f -> f e)
+      (match t.sink with Some f -> f e | None -> ());
+      e)
 
-let count t = Mutex.protect t.mu (fun () -> t.total)
-
-let recent t n =
-  Mutex.protect t.mu (fun () ->
-      let avail = min t.total t.cap in
-      let n = min n avail in
-      List.init n (fun i ->
-          match t.ring.((t.total - 1 - i) mod t.cap) with
-          | Some e -> e
-          | None -> assert false))
+let count t = Ring.count t.ring
+let recent t n = Ring.recent t.ring n
 
 let events t = List.rev (recent t max_int)
 

@@ -11,8 +11,8 @@
 
     Events carry pre-rendered strings so this module depends on
     nothing above the standard library: callers render principal and
-    tag names at emit time.  The log is a mutex-guarded ring (the
-    newest [capacity] events are queryable; the total count is exact),
+    tag names at emit time.  The log is a {!Ring} (the newest
+    4096 events are queryable; the total count is exact),
     optionally teed into a [sink] — e.g. a WAL appender — so the
     stream can survive the process. *)
 
@@ -43,8 +43,8 @@ val event_to_string : event -> string
 
 type t
 
-val create : ?capacity:int -> ?sink:(event -> unit) -> unit -> t
-(** [capacity] bounds the queryable ring (default 4096).  [sink], if
+val create : ?sink:(event -> unit) -> unit -> t
+(** A log whose ring keeps the newest 4096 events.  [sink], if
     given, receives every event as it is emitted (under the log's
     mutex — keep it cheap). *)
 
@@ -62,7 +62,8 @@ val count : t -> int
 (** Total events ever emitted. *)
 
 val recent : t -> int -> event list
-(** The last [n] retained events, newest first. *)
+(** The last [n] retained events, newest first; [[]] for a negative
+    [n]. *)
 
 val events : t -> event list
 (** All retained events, oldest first. *)

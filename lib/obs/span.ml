@@ -34,30 +34,23 @@ type t = {
   every : int; (* sample every nth statement; <= 0 never *)
   stmt_seq : int Atomic.t; (* statements offered to the sampler *)
   trace_ids : int Atomic.t;
-  mu : Mutex.t; (* guards the ring; taken once per sampled statement *)
-  cap : int;
-  ring : record option array;
-  mutable finished : int; (* records ever pushed *)
+  ring : record Ring.t; (* locked once per sampled statement, at finish *)
 }
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 let dom_id () = (Domain.self () :> int)
 
-let create ?(capacity = 256) ?(sample_every = 0) () =
-  let capacity = max 1 capacity in
+let create ?(sample_every = 0) () =
   {
     every = sample_every;
     stmt_seq = Atomic.make 0;
     trace_ids = Atomic.make 0;
-    mu = Mutex.create ();
-    cap = capacity;
-    ring = Array.make capacity None;
-    finished = 0;
+    ring = Ring.create ~capacity:256;
   }
 
 let enabled t = t.every > 0
 let sample_every t = t.every
-let capacity t = t.cap
+let capacity t = Ring.capacity t.ring
 
 let sample t =
   t.every > 0 && Atomic.fetch_and_add t.stmt_seq 1 mod t.every = 0
@@ -222,35 +215,16 @@ let finish t ctx =
         else compare a.ev_id b.ev_id)
       (root :: Atomic.get ctx.c_scratch)
   in
-  let r = { r_id = ctx.c_id; r_events = events } in
-  Mutex.protect t.mu (fun () ->
-      t.ring.(t.finished mod t.cap) <- Some r;
-      t.finished <- t.finished + 1)
+  Ring.push t.ring (fun _ -> { r_id = ctx.c_id; r_events = events })
 
 (* ------------------------------------------------------------------ *)
 (* Reading the ring *)
 
-let count t = Mutex.protect t.mu (fun () -> t.finished)
-
-let recent t n =
-  Mutex.protect t.mu (fun () ->
-      let avail = min t.finished t.cap in
-      let n = min (max 0 n) avail in
-      List.init n (fun i ->
-          match t.ring.((t.finished - 1 - i) mod t.cap) with
-          | Some r -> r
-          | None -> assert false))
+let count t = Ring.count t.ring
+let recent t n = Ring.recent t.ring n
 
 let find t id =
-  Mutex.protect t.mu (fun () ->
-      let rec go i =
-        if i >= min t.finished t.cap then None
-        else
-          match t.ring.(i) with
-          | Some r when r.r_id = id -> Some r
-          | _ -> go (i + 1)
-      in
-      go 0)
+  List.find_opt (fun r -> r.r_id = id) (Ring.recent t.ring (capacity t))
 
 let duration_ns r =
   match r.r_events with

@@ -27,12 +27,11 @@
       names never enter a span at all (see DESIGN.md §6.10), so a
       Chrome export can be shared without declassification.
 
-    The clock is [Unix.gettimeofday] scaled to nanoseconds — the same
-    monotonic-enough clock {!Trace} uses, so operator traces and spans
-    agree.  A span whose recorded start would precede its statement
-    root (e.g. a lock acquired by an earlier statement of an explicit
-    transaction) is clipped to the statement window, keeping every
-    record well-nested by construction. *)
+    The clock is {!now_ns}, which every engine duration reads, so
+    operator traces and spans agree.  A span whose recorded start would
+    precede its statement root (e.g. a lock acquired by an earlier
+    statement of an explicit transaction) is clipped to the statement
+    window, keeping every record well-nested by construction. *)
 
 type t
 (** A recorder: sampling state plus the ring of finished records.
@@ -63,9 +62,8 @@ type record = {
   r_events : event list;  (** sorted by start time; root first *)
 }
 
-val create : ?capacity:int -> ?sample_every:int -> unit -> t
-(** A recorder holding the last [capacity] (default 256) sampled
-    statements.  [sample_every = n] samples every [n]th statement
+val create : ?sample_every:int -> unit -> t
+(** A recorder holding the last 256 sampled statements.  [sample_every = n] samples every [n]th statement
     ([1] = all, [0] = never; default [0]).  Negative values behave
     like [0]. *)
 
@@ -86,6 +84,9 @@ val peek : t -> bool
     correctness. *)
 
 val now_ns : unit -> int
+(** The engine clock: [CLOCK_MONOTONIC] in integer nanoseconds (via
+    bechamel's monotonic-clock stub).  Never steps backwards; only
+    differences between readings mean anything. *)
 
 (** {1 Statement contexts} *)
 
@@ -146,7 +147,7 @@ val count : t -> int
 val capacity : t -> int
 
 val recent : t -> int -> record list
-(** The last [n] records, newest first. *)
+(** The last [n] records, newest first; [[]] for a negative [n]. *)
 
 val find : t -> int -> record option
 (** Look up a record by trace id, if still in the ring. *)

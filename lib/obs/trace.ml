@@ -33,8 +33,6 @@ let create () =
     scan_order = [];
   }
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
 let enter t label =
   let node =
     {
@@ -62,9 +60,9 @@ let exit_node t node =
 
 let wrap_seq node (s : 'a Seq.t) : 'a Seq.t =
   let rec wrap s () =
-    let t0 = now_ns () in
+    let t0 = Span.now_ns () in
     let r = s () in
-    node.n_ns <- node.n_ns + (now_ns () - t0);
+    node.n_ns <- node.n_ns + (Span.now_ns () - t0);
     match r with
     | Seq.Nil -> Seq.Nil
     | Seq.Cons (x, rest) ->
@@ -170,38 +168,14 @@ type slow_entry = {
   sq_trace : int;
 }
 
-type slow_log = {
-  sl_mu : Mutex.t;
-  sl_cap : int;
-  sl_ring : slow_entry option array;
-  mutable sl_count : int;
-}
+type slow_log = slow_entry Ring.t
 
-let slow_log_create ?(capacity = 128) () =
-  let capacity = max 1 capacity in
-  {
-    sl_mu = Mutex.create ();
-    sl_cap = capacity;
-    sl_ring = Array.make capacity None;
-    sl_count = 0;
-  }
+let slow_log_create () = Ring.create ~capacity:128
 
 let slow_log_add ?(trace = -1) sl ~sql ~ns ~rows =
-  Mutex.protect sl.sl_mu (fun () ->
-      let e =
-        { sq_seq = sl.sl_count; sq_sql = sql; sq_ns = ns; sq_rows = rows;
-          sq_trace = trace }
-      in
-      sl.sl_ring.(sl.sl_count mod sl.sl_cap) <- Some e;
-      sl.sl_count <- sl.sl_count + 1)
+  Ring.push sl (fun seq ->
+      { sq_seq = seq; sq_sql = sql; sq_ns = ns; sq_rows = rows;
+        sq_trace = trace })
 
-let slow_log_recent sl n =
-  Mutex.protect sl.sl_mu (fun () ->
-      let avail = min sl.sl_count sl.sl_cap in
-      let n = min n avail in
-      List.init n (fun i ->
-          match sl.sl_ring.((sl.sl_count - 1 - i) mod sl.sl_cap) with
-          | Some e -> e
-          | None -> assert false))
-
-let slow_log_count sl = Mutex.protect sl.sl_mu (fun () -> sl.sl_count)
+let slow_log_recent = Ring.recent
+let slow_log_count = Ring.count

@@ -5,9 +5,10 @@
     translation is {e eager} (each operator's [run] recurses into its
     children while constructing the lazy [Seq.t]), so operator nodes
     are created with a parent stack during translation; the returned
-    sequences are then wrapped so every pull is timed and every yielded
-    row counted.  Times are {b inclusive} of children, like Postgres'
-    [EXPLAIN ANALYZE] actual times.
+    sequences are then wrapped so every pull is timed (on
+    {!Span.now_ns}) and every yielded row counted.  Times are
+    {b inclusive} of children, like Postgres' [EXPLAIN ANALYZE] actual
+    times.
 
     Tuples pruned by label confinement are attributed {e per table}
     (not per operator): the access-layer read filter increments the
@@ -38,9 +39,6 @@ type scan = {
 }
 
 val create : unit -> t
-
-val now_ns : unit -> int
-(** Monotonic-enough wall clock in nanoseconds ([Unix.gettimeofday]). *)
 
 val enter : t -> string -> node
 (** Open an operator node as a child of the innermost open node. *)
@@ -97,13 +95,13 @@ type slow_entry = {
 
 type slow_log
 
-val slow_log_create : ?capacity:int -> unit -> slow_log
-(** Ring buffer of the most recent slow statements; default capacity 128. *)
+val slow_log_create : unit -> slow_log
+(** Ring buffer of the 128 most recent slow statements. *)
 
 val slow_log_add :
   ?trace:int -> slow_log -> sql:string -> ns:int -> rows:int -> unit
 val slow_log_recent : slow_log -> int -> slow_entry list
-(** The last [n] entries, newest first. *)
+(** The last [n] entries, newest first; [[]] for a negative [n]. *)
 
 val slow_log_count : slow_log -> int
 (** Total entries ever logged (not bounded by capacity). *)

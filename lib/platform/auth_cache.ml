@@ -7,17 +7,15 @@ type stats = { hits : int; misses : int }
 
 type t = {
   auth : Authority.t;
-  enabled : bool;
   entries : (int * int, bool) Hashtbl.t; (* (principal, tag) -> answer *)
   mutable valid_generation : int;
   mutable hits : int;
   mutable misses : int;
 }
 
-let create ?(enabled = true) auth =
+let create auth =
   {
     auth;
-    enabled;
     entries = Hashtbl.create 256;
     valid_generation = Authority.generation auth;
     hits = 0;
@@ -31,14 +29,14 @@ let has_authority t p tag =
     t.valid_generation <- g
   end;
   let key = (Principal.to_int p, Tag.to_int tag) in
-  match if t.enabled then Hashtbl.find_opt t.entries key else None with
+  match Hashtbl.find_opt t.entries key with
   | Some answer ->
       t.hits <- t.hits + 1;
       answer
   | None ->
       t.misses <- t.misses + 1;
       let answer = Authority.has_authority t.auth p tag in
-      if t.enabled then Hashtbl.replace t.entries key answer;
+      Hashtbl.replace t.entries key answer;
       answer
 
 let can_declassify_label t p label =

@@ -11,9 +11,8 @@ type t
 
 type stats = { hits : int; misses : int }
 
-val create : ?enabled:bool -> Ifdb_difc.Authority.t -> t
-(** [enabled:false] turns the cache off (every query is a miss) — the
-    ablation benchmark uses this. *)
+val create : Ifdb_difc.Authority.t -> t
+(** An empty cache over one authority state. *)
 
 val has_authority : t -> Ifdb_difc.Principal.t -> Ifdb_difc.Tag.t -> bool
 (** Cached {!Ifdb_difc.Authority.has_authority}. *)

@@ -11,14 +11,15 @@ type t = {
   routes : (string, handler) Hashtbl.t;
   if_platform : bool;
   base_cost_ns : int;
-  label_op_cost_ns : int;
   mutable n_requests : int;
   mutable n_blocked : int;
   mutable cpu_ns : int;
 }
 
-let create ?(if_platform = true) ?(base_cost_ns = 200_000)
-    ?(label_op_cost_ns = 20_000) db =
+(* simulated PHP-IF cost of one counted label/authority operation *)
+let label_op_cost_ns = 20_000
+
+let create ?(if_platform = true) ?(base_cost_ns = 200_000) db =
   {
     db;
     the_gate = Gate.create ();
@@ -26,7 +27,6 @@ let create ?(if_platform = true) ?(base_cost_ns = 200_000)
     routes = Hashtbl.create 16;
     if_platform;
     base_cost_ns;
-    label_op_cost_ns;
     n_requests = 0;
     n_blocked = 0;
     cpu_ns = 0;
@@ -50,7 +50,7 @@ let handle t ~path ~user ~params =
       let finish status body =
         let ops = if t.if_platform then Process.op_count proc else 0 in
         t.cpu_ns <-
-          t.cpu_ns + t.base_cost_ns + (ops * t.label_op_cost_ns);
+          t.cpu_ns + t.base_cost_ns + (ops * label_op_cost_ns);
         if status = `Blocked then t.n_blocked <- t.n_blocked + 1;
         { status; body }
       in

@@ -9,7 +9,7 @@
 
     The tier keeps a simulated CPU clock.  Every request costs
     [base_cost_ns]; when the platform runs in IF mode, each counted
-    label/authority operation additionally costs [label_op_cost_ns] —
+    label/authority operation additionally costs 20 µs —
     this models PHP-IF's interpreted-PHP overhead, which is what makes
     the paper's web-server-bound configuration 22% slower (section
     8.2.1).  Benchmarks compute throughput against wall time plus this
@@ -31,12 +31,10 @@ type t
 val create :
   ?if_platform:bool ->
   ?base_cost_ns:int ->
-  ?label_op_cost_ns:int ->
   Ifdb_core.Database.t ->
   t
 (** Defaults: [if_platform:true] (the PHP-IF analogue; [false] is the
-    plain-PHP baseline), 200 µs base request cost, 30 µs per label
-    operation. *)
+    plain-PHP baseline), 200 µs base request cost. *)
 
 val database : t -> Ifdb_core.Database.t
 val gate : t -> Gate.t

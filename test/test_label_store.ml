@@ -125,21 +125,6 @@ let test_flow_memoization_stats () =
   Alcotest.(check int) "no misses" 0 s3.flow_misses;
   Alcotest.(check int) "no hits" 0 s3.flow_hits
 
-let test_flow_cache_disabled () =
-  let a, p = mk_auth () in
-  let alice = p "alice" in
-  let t1 = mk_tag a alice "t1" and t2 = mk_tag a alice "t2" in
-  let store = Label_store.create ~flow_cache:false a in
-  let src = Label_store.intern store (Label.singleton t1) in
-  let dst = Label_store.intern store (Label.of_list [ t1; t2 ]) in
-  for _ = 1 to 5 do
-    Alcotest.(check bool) "verdict still correct" true
-      (Label_store.flows_id store ~src ~dst)
-  done;
-  let s = Label_store.stats store in
-  Alcotest.(check int) "every probe recomputes" 5 s.flow_misses;
-  Alcotest.(check int) "never hits" 0 s.flow_hits
-
 (* The domain-local memo must not pin verdicts of stores nobody holds:
    a process that creates many databases (one per benchmark repeat, one
    per test) would otherwise grow with every store it ever probed. *)
@@ -309,8 +294,8 @@ let test_db_invalidation_after_revocation () =
 (* Polyinstantiation with interning                                    *)
 (* ------------------------------------------------------------------ *)
 
-let poly_fixture ~label_cache =
-  let db = Db.create ~label_cache () in
+let poly_fixture () =
+  let db = Db.create () in
   let admin = Db.connect_admin db in
   let ta = Db.create_tag admin ~name:"a" () in
   let tb = Db.create_tag admin ~name:"b" () in
@@ -321,8 +306,8 @@ let poly_fixture ~label_cache =
   Db.add_secrecy sb tb;
   (db, admin, sa, sb, ta, tb)
 
-let run_poly_checks ~label_cache () =
-  let _, admin, sa, sb, ta, tb = poly_fixture ~label_cache in
+let test_polyinstantiation_interned () =
+  let _, admin, sa, sb, ta, tb = poly_fixture () in
   (* the same user-visible key under two labels: both inserts land *)
   ignore (Db.exec sa "INSERT INTO t VALUES (1, 100)");
   ignore (Db.exec sb "INSERT INTO t VALUES (1, 200)");
@@ -358,12 +343,6 @@ let run_poly_checks ~label_cache () =
         (Tuple.label r1 == Tuple.label r2)
   | _ -> Alcotest.fail "expected two rows"
 
-let test_polyinstantiation_interned () = run_poly_checks ~label_cache:true ()
-
-let test_polyinstantiation_no_flow_cache () =
-  (* the labelcache ablation's off switch must not change semantics *)
-  run_poly_checks ~label_cache:false ()
-
 let suites =
   [
     ( "difc.label_store",
@@ -374,8 +353,6 @@ let suites =
         Alcotest.test_case "flows_id = Authority.flows" `Quick
           test_flows_id_matches_authority;
         Alcotest.test_case "memoization stats" `Quick test_flow_memoization_stats;
-        Alcotest.test_case "flow_cache:false recomputes" `Quick
-          test_flow_cache_disabled;
         Alcotest.test_case "dropped stores release the domain memo" `Quick
           test_dropped_stores_release_memo;
         Alcotest.test_case "invalidated by compound-tag creation" `Quick
@@ -395,7 +372,5 @@ let suites =
           test_db_invalidation_after_revocation;
         Alcotest.test_case "polyinstantiation with interning" `Quick
           test_polyinstantiation_interned;
-        Alcotest.test_case "polyinstantiation, flow cache off" `Quick
-          test_polyinstantiation_no_flow_cache;
       ] );
   ]

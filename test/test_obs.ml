@@ -19,6 +19,8 @@ module Wal = Ifdb_storage.Wal
 module Domain_pool = Ifdb_engine.Domain_pool
 module Metrics = Ifdb_obs.Metrics
 module Audit = Ifdb_obs.Audit
+module Ring = Ifdb_obs.Ring
+module Span = Ifdb_obs.Span
 module Value = Ifdb_rel.Value
 module Tuple = Ifdb_rel.Tuple
 
@@ -612,6 +614,58 @@ let test_wal_backed_audit () =
        recs)
 
 (* ------------------------------------------------------------------ *)
+(* The shared ring and the engine clock                                *)
+(* ------------------------------------------------------------------ *)
+
+let test_ring () =
+  let r = Ring.create ~capacity:3 in
+  Alcotest.(check (list int)) "empty" [] (Ring.recent r 2);
+  for _ = 1 to 5 do
+    Ring.push r (fun seq -> seq)
+  done;
+  Alcotest.(check int) "count is exact" 5 (Ring.count r);
+  Alcotest.(check (list int)) "newest first, numbered in push order" [ 4; 3 ]
+    (Ring.recent r 2);
+  Alcotest.(check (list int)) "bounded by capacity" [ 4; 3; 2 ]
+    (Ring.recent r 10);
+  Alcotest.(check (list int)) "negative count" [] (Ring.recent r (-1))
+
+(* the shell's [\slow -1] and [\audit -1] pass a negative count
+   straight through *)
+let test_negative_recent () =
+  let db = Db.create ~slow_query_ms:0.0 () in
+  let log = Db.audit_log db in
+  Alcotest.(check int) "empty slow log" 0
+    (List.length (Db.slow_queries ~n:(-1) db));
+  Alcotest.(check int) "empty audit log" 0
+    (List.length (Audit.recent log (-1)));
+  let admin = Db.connect_admin db in
+  let alice =
+    Db.connect db ~principal:(Db.create_principal admin ~name:"alice")
+  in
+  Db.add_secrecy alice (Db.create_tag alice ~name:"t" ());
+  ignore (Db.exec admin "CREATE TABLE t (a INT)");
+  Alcotest.(check bool) "both logs hold entries" true
+    (Db.slow_queries db <> [] && Audit.count log > 0);
+  Alcotest.(check int) "slow log" 0 (List.length (Db.slow_queries ~n:(-1) db));
+  Alcotest.(check int) "audit log" 0 (List.length (Audit.recent log (-1)))
+
+(* gettimeofday in a double resolves 256 ns at today's epoch and may
+   step backwards; the engine clock must do neither *)
+let test_clock () =
+  let n = 100_000 in
+  let prev = ref (Span.now_ns ()) and min_step = ref max_int in
+  for _ = 1 to n do
+    let t = Span.now_ns () in
+    if t < !prev then Alcotest.failf "clock stepped back %d ns" (!prev - t);
+    if t > !prev then min_step := min !min_step (t - !prev);
+    prev := t
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "smallest step %d ns under 256 ns" !min_step)
+    true (!min_step < 256)
+
+(* ------------------------------------------------------------------ *)
 (* Database-level statement metrics                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -712,6 +766,14 @@ let suites =
         Alcotest.test_case "slow log off by default" `Quick
           test_slow_log_off_by_default;
         Alcotest.test_case "WAL-backed audit" `Quick test_wal_backed_audit;
+        Alcotest.test_case "negative counts return nothing" `Quick
+          test_negative_recent;
+      ] );
+    ( "obs.ring-and-clock",
+      [
+        Alcotest.test_case "ring keeps the newest" `Quick test_ring;
+        Alcotest.test_case "engine clock is monotonic and fine" `Quick
+          test_clock;
       ] );
     ( "obs.database-metrics",
       [

@@ -45,15 +45,6 @@ let test_cache_invalidation () =
   Alcotest.(check bool) "revocation visible" false
     (Auth_cache.has_authority cache bob tag)
 
-let test_cache_disabled () =
-  let db, _, alice, tag = fresh () in
-  let cache = Auth_cache.create ~enabled:false (Db.authority db) in
-  ignore (Auth_cache.has_authority cache alice tag);
-  ignore (Auth_cache.has_authority cache alice tag);
-  let s = Auth_cache.stats cache in
-  Alcotest.(check int) "no hits when disabled" 0 s.Auth_cache.hits;
-  Alcotest.(check int) "all misses" 2 s.Auth_cache.misses
-
 (* ------------------------------------------------------------------ *)
 (* Process & gate                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -203,7 +194,6 @@ let suites =
       [
         Alcotest.test_case "hit/miss accounting" `Quick test_cache_hits;
         Alcotest.test_case "generation invalidation" `Quick test_cache_invalidation;
-        Alcotest.test_case "disabled cache" `Quick test_cache_disabled;
       ] );
     ( "platform.process",
       [
