@@ -17,7 +17,7 @@ type ctx = {
   an_store : Label_store.t;
   an_principal : Principal.t;
   an_label : Label.t;
-  an_write_labels : Label.t list;
+  an_write_labels : Label.t list Lazy.t;
   an_clearance : bool;
   an_in_txn : bool;
   an_trace : Ts.t option;
@@ -1083,7 +1083,7 @@ let analyze_commit ctx ~add =
                (lbl ctx ls) (lbl ctx w) (origin w) mstr)
         end
       end)
-    ctx.an_write_labels
+    (Lazy.force ctx.an_write_labels)
 
 let perform_name_args (args : A.expr list) =
   let name_of = function
@@ -1400,7 +1400,7 @@ let trace_ctx ctx ts =
     an_label = Ts.label ts;
     an_in_txn = Ts.in_open_txn ts;
     an_trace = Some ts;
-    an_write_labels = [];
+    an_write_labels = Lazy.from_val [];
   }
 
 (* Total version of the executor's CREATE TABLE schema derivation. *)
@@ -1917,7 +1917,8 @@ let trace_begin ctx : Ts.t =
      become index-0 definite writes *)
   if ctx.an_in_txn then
     Ts.begin_txn ts ~index:0
-      ~writes:(List.map (fun l -> (0, "", l, true)) ctx.an_write_labels)
+      ~writes:
+        (List.map (fun l -> (0, "", l, true)) (Lazy.force ctx.an_write_labels))
       ();
   ts
 

@@ -37,9 +37,12 @@ type ctx = {
   an_store : Ifdb_difc.Label_store.t;
   an_principal : Ifdb_difc.Principal.t;
   an_label : Label.t;  (** the session label the statement would run under *)
-  an_write_labels : Label.t list;
+  an_write_labels : Label.t list Lazy.t;
       (** labels already in the open transaction's write set (for
-          COMMIT analysis); empty outside a transaction *)
+          COMMIT analysis and a trace seeded mid-transaction); empty
+          outside a transaction.  Lazy: only those two read it, so
+          every other statement's analysis does not copy a write set
+          that grows with the transaction *)
   an_clearance : bool;
       (** the clearance rule is active (serializable isolation):
           [addsecrecy] inside an explicit transaction requires

@@ -942,37 +942,30 @@ let fire_triggers s ~table ~kind ~old_ ~new_ =
 
 
 (* Dead-version reclamation.  PostgreSQL's (auto)vacuum equivalent: a
-   version is dead once its deleter committed before every live
-   snapshot, or its creator aborted.  Exempt from flow rules (paper
-   section 7.1).  Without this, hot MVCC chains (TPC-C's district and
-   stock rows) grow without bound and every index probe wades through
-   dead versions. *)
+   version is dead once its deleter committed below the horizon (the
+   oldest open snapshot's xmin), or its creator aborted.  Only versions
+   retired since the last pass are visited: a version dies only by a
+   committed delete or an aborted insert, and both queue it.  Exempt
+   from flow rules (paper section 7.1).  Without this, hot MVCC chains
+   (TPC-C's district and stock rows) grow without bound and every index
+   probe wades through dead versions. *)
 let vacuum t =
   let horizon = Manager.oldest_visible_xid t.mgr in
-  let removed = ref 0 in
-  List.iter
-    (fun (tbl : Catalog.table) ->
-      let dead_vids = Hashtbl.create 16 in
-      Heap.iter tbl.Catalog.tbl_heap (fun v ->
-          let dead =
-            (match Manager.status_of t.mgr v.Heap.xmin with
-            | Manager.Aborted -> true
-            | Manager.Committed | Manager.In_progress -> false)
-            || (v.Heap.xmax <> 0
-               && Manager.status_of t.mgr v.Heap.xmax = Manager.Committed
-               && v.Heap.xmax < horizon)
-          in
-          if dead then begin
-            Hashtbl.replace dead_vids v.Heap.vid ();
+  let dead (v : Heap.version) =
+    (match Manager.status_of t.mgr v.Heap.xmin with
+    | Manager.Aborted -> true
+    | Manager.Committed | Manager.In_progress -> false)
+    || (v.Heap.xmax <> 0
+       && Manager.status_of t.mgr v.Heap.xmax = Manager.Committed
+       && v.Heap.xmax < horizon)
+  in
+  List.fold_left
+    (fun removed (tbl : Catalog.table) ->
+      removed
+      + Heap.vacuum_retired tbl.Catalog.tbl_heap ~dead ~on_reclaim:(fun v ->
             Catalog.remove_from_indexes t.cat tbl (Tuple.values v.Heap.tuple)
-              ~lid:(Tuple.label_id v.Heap.tuple) v.Heap.vid
-          end);
-      removed :=
-        !removed
-        + Heap.vacuum tbl.Catalog.tbl_heap ~dead:(fun v ->
-              Hashtbl.mem dead_vids v.Heap.vid))
-    (Catalog.all_tables t.cat);
-  !removed
+              ~lid:(Tuple.label_id v.Heap.tuple) v.Heap.vid))
+    0 (Catalog.all_tables t.cat)
 
 (* ------------------------------------------------------------------ *)
 (* Transaction control                                                 *)
@@ -1606,14 +1599,11 @@ let exec_insert s txn (stmt : A.stmt) =
         Array.iteri (fun i v -> values.(positions.(i)) <- v) row_values;
         values
       in
+      let lower = Planner.lower_expr_for_table (pctx s) schema in
       let eval_row row_exprs =
+        (* VALUES rows cannot reference columns *)
         Array.of_list
-          (List.map
-             (fun e ->
-               let lowered = Planner.lower_expr_for_table (pctx s) schema e in
-               (* VALUES rows cannot reference columns *)
-               Expr.eval env empty_row lowered)
-             row_exprs)
+          (List.map (fun e -> Expr.eval env empty_row (lower e)) row_exprs)
       in
       let batchable =
         (not (has_insert_trigger s tbl))
@@ -1680,12 +1670,13 @@ let exec_insert s txn (stmt : A.stmt) =
 let exec_update s txn u_table u_sets u_where =
   let tbl = Catalog.table s.sdb.cat u_table in
   let schema = tbl.Catalog.tbl_schema in
-  let pred = Option.map (Planner.lower_expr_for_table (pctx s) schema) u_where in
+  let lower = Planner.lower_expr_for_table (pctx s) schema in
+  let pred = Option.map lower u_where in
   let sets =
     List.map
       (fun (col, e) ->
         match Schema.col_index_opt schema col with
-        | Some i -> (i, Planner.lower_expr_for_table (pctx s) schema e)
+        | Some i -> (i, lower e)
         | None -> Errors.sql "column %s of %s does not exist" col u_table)
       u_sets
   in
@@ -1842,9 +1833,9 @@ let analysis_ctx s : Analysis.ctx =
     an_label = s.s_label;
     an_write_labels =
       (match s.s_txn with
-      | None -> []
+      | None -> Lazy.from_val []
       | Some txn ->
-          List.map (fun w -> w.Manager.w_label) (Manager.writes txn));
+          lazy (List.map (fun w -> w.Manager.w_label) (Manager.writes txn)));
     an_clearance = (s.sdb.iso = Serializable);
     an_in_txn = s.s_txn <> None;
     an_trace = s.s_flow;

@@ -27,32 +27,42 @@ type binding_entry = { be_qual : string option; be_name : string }
 type binding = binding_entry array
 
 let binding_of_schema qual (schema : Schema.t) : binding =
+  let be_qual = Some (norm qual) in
   Array.map
-    (fun c -> { be_qual = Some (norm qual); be_name = norm c.Schema.col_name })
+    (fun c -> { be_qual; be_name = norm c.Schema.col_name })
     schema.Schema.columns
 
 let binding_of_names qual names : binding =
   Array.of_list
     (List.map (fun n -> { be_qual = qual; be_name = norm n }) names)
 
+(* The position of the one entry matching [qual.name], scanning the
+   binding in place. *)
 let resolve binding qual name =
   let name = norm name in
   let qual = Option.map norm qual in
-  let matches =
-    List.filter
-      (fun (_, e) ->
-        e.be_name = name
-        && match qual with None -> true | Some q -> e.be_qual = Some q)
-      (Array.to_list (Array.mapi (fun i e -> (i, e)) binding))
-  in
-  match matches with
-  | [ (i, _) ] -> i
-  | [] ->
+  let hit = ref (-1) and hits = ref 0 in
+  Array.iteri
+    (fun i e ->
+      if
+        String.equal e.be_name name
+        &&
+        match (qual, e.be_qual) with
+        | None, _ -> true
+        | Some q, Some eq -> String.equal q eq
+        | Some _, None -> false
+      then begin
+        if !hits = 0 then hit := i;
+        incr hits
+      end)
+    binding;
+  match !hits with
+  | 0 ->
       fail "column %s%s does not exist"
         (match qual with Some q -> q ^ "." | None -> "")
         name
-  | _ ->
-      fail "column reference %s is ambiguous" name
+  | 1 -> !hit
+  | _ -> fail "column reference %s is ambiguous" name
 
 (* ------------------------------------------------------------------ *)
 (* Expression lowering                                                 *)
@@ -812,7 +822,7 @@ and plan_select_one ctx ~extra (sel : A.select) : Plan.t * string list =
   in
   (with_limit, out_names)
 
-let lower_expr_for_table ctx (schema : Schema.t) e =
+let lower_expr_for_table ctx (schema : Schema.t) =
   (* an unqualified reference matches any entry by name, so the
      table-qualified binding serves both spellings *)
-  lower_expr ctx (binding_of_schema schema.Schema.table_name schema) e
+  lower_expr ctx (binding_of_schema schema.Schema.table_name schema)

@@ -31,9 +31,12 @@ val plan_select : pctx -> ?extra:Label.t -> A.select -> Plan.t * string list
 
 val lower_expr_for_table :
   pctx -> Ifdb_rel.Schema.t -> A.expr -> Expr.t
-(** Lower an expression whose names refer to a single table's columns
-    (the DML WHERE/SET case).  [_label] resolves to the row label;
-    label literals resolve against the authority state. *)
+(** Lower expressions whose names refer to a single table's columns
+    (the DML VALUES/WHERE/SET case).  [_label] resolves to the row
+    label; label literals resolve against the authority state.
+    [lower_expr_for_table ctx schema] builds the table's column binding
+    once and returns the lowering function: apply it once per
+    statement and lower each of its expressions with the result. *)
 
 val best_prefix :
   Catalog.table ->

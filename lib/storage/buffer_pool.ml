@@ -1,14 +1,16 @@
-(* LRU via an intrusive doubly-linked list over nodes stored in a
-   hashtable keyed by page id.  All operations are O(1).
+(* LRU via an intrusive doubly-linked list over nodes held in a frame
+   table: an array indexed by page id.  Page ids come from [alloc_page],
+   dense from 0, so the table is direct-mapped, and only [alloc_page]
+   grows it.  All operations are O(1).
 
    Thread-safety (for morsel-parallel scans): the statistics counters
    are atomics, and every structural operation takes [lock].  The one
    exception is the unbounded-pool read fast path: with no capacity
    there is never an eviction, so recency order is irrelevant and a
-   touch of a resident page reduces to a lock-free hashtable probe plus
-   an atomic hit count.  Pages are only inserted by [alloc_page], which
-   runs on the (single) writer thread, never concurrently with a
-   parallel scan — so the unlocked probe cannot race a table resize. *)
+   touch of a resident page reduces to a lock-free frame-table load
+   plus an atomic hit count.  The table only grows in [alloc_page],
+   which runs on the (single) writer thread, never concurrently with a
+   parallel scan — so the unlocked load cannot race a growth. *)
 
 type node = {
   page : int;
@@ -23,7 +25,8 @@ type t = {
   capacity : int option;
   miss_cost_ns : int;
   write_cost_ns : int;
-  nodes : (int, node) Hashtbl.t;
+  mutable frames : node array; (* by page id; [absent] if not resident *)
+  mutable resident : int;
   lock : Mutex.t;
   mutable head : node option; (* most recently used *)
   mutable tail : node option; (* least recently used *)
@@ -34,6 +37,9 @@ type t = {
   io_ns : int Atomic.t;
 }
 
+(* the empty frame, compared physically *)
+let absent = { page = -1; prev = None; next = None; is_dirty = false }
+
 let create ?(capacity_pages = None) ?(miss_cost_ns = 100_000)
     ?(write_cost_ns = 60_000) () =
   (match capacity_pages with
@@ -43,7 +49,8 @@ let create ?(capacity_pages = None) ?(miss_cost_ns = 100_000)
     capacity = capacity_pages;
     miss_cost_ns;
     write_cost_ns;
-    nodes = Hashtbl.create 4096;
+    frames = Array.make 64 absent;
+    resident = 0;
     lock = Mutex.create ();
     head = None;
     tail = None;
@@ -77,18 +84,20 @@ let evict_if_needed t =
   match t.capacity with
   | None -> ()
   | Some cap ->
-      while Hashtbl.length t.nodes > cap do
+      while t.resident > cap do
         match t.tail with
         | None -> assert false
         | Some victim ->
             write_back t victim;
             unlink t victim;
-            Hashtbl.remove t.nodes victim.page
+            t.frames.(victim.page) <- absent;
+            t.resident <- t.resident - 1
       done
 
 let insert_resident t page =
   let n = { page; prev = None; next = None; is_dirty = false } in
-  Hashtbl.replace t.nodes page n;
+  t.frames.(page) <- n;
+  t.resident <- t.resident + 1;
   push_front t n;
   evict_if_needed t;
   n
@@ -96,25 +105,34 @@ let insert_resident t page =
 let alloc_page t =
   Mutex.lock t.lock;
   let page = t.next_page in
-  t.next_page <- t.next_page + 1;
+  t.next_page <- page + 1;
+  let len = Array.length t.frames in
+  if page >= len then begin
+    let bigger = Array.make (2 * len) absent in
+    Array.blit t.frames 0 bigger 0 len;
+    t.frames <- bigger
+  end;
   ignore (insert_resident t page);
   Mutex.unlock t.lock;
   page
 
 (* caller holds [lock] *)
 let access_locked t page =
-  match Hashtbl.find_opt t.nodes page with
-  | Some n ->
-      Atomic.incr t.hits;
-      if t.head != Some n then begin
+  let n = t.frames.(page) in
+  if n != absent then begin
+    Atomic.incr t.hits;
+    (match t.head with
+    | Some h when h == n -> ()
+    | _ ->
         unlink t n;
-        push_front t n
-      end;
-      n
-  | None ->
-      Atomic.incr t.misses;
-      ignore (Atomic.fetch_and_add t.io_ns t.miss_cost_ns);
-      insert_resident t page
+        push_front t n);
+    n
+  end
+  else begin
+    Atomic.incr t.misses;
+    ignore (Atomic.fetch_and_add t.io_ns t.miss_cost_ns);
+    insert_resident t page
+  end
 
 let access t page =
   Mutex.lock t.lock;
@@ -126,10 +144,9 @@ let touch t page =
   match t.capacity with
   | None -> (
       (* unbounded: every allocated page stays resident, recency is
-         moot — lock-free probe + atomic hit *)
-      match Hashtbl.find_opt t.nodes page with
-      | Some _ -> Atomic.incr t.hits
-      | None -> ignore (access t page))
+         moot — lock-free load + atomic hit *)
+      if t.frames.(page) != absent then Atomic.incr t.hits
+      else ignore (access t page))
   | Some _ -> ignore (access t page)
 
 let dirty t page =
@@ -140,10 +157,10 @@ let dirty t page =
 
 let flush_all t =
   Mutex.lock t.lock;
-  Hashtbl.iter (fun _ n -> write_back t n) t.nodes;
+  Array.iter (fun n -> if n != absent then write_back t n) t.frames;
   Mutex.unlock t.lock
 
-let resident t = Hashtbl.length t.nodes
+let resident t = t.resident
 
 let stats t =
   {

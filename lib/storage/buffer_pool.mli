@@ -10,12 +10,18 @@
     A pool with [capacity_pages = None] is unbounded: after first
     allocation every access hits — the in-memory regime.
 
+    Frames live in a table indexed by page id: page ids come from
+    {!alloc_page}, dense from 0, and only {!alloc_page} grows the
+    table, so every lookup is an array load.  {!touch} and {!dirty}
+    take only page ids that {!alloc_page} returned.
+
     Concurrent reads: {!touch} may be called from multiple domains at
     once (morsel-parallel scans).  Counters are atomic; bounded pools
     serialize LRU maintenance behind a mutex, unbounded pools answer
     resident touches lock-free.  Mutating operations ({!alloc_page},
     {!dirty}, {!flush_all}) remain single-writer: the engine only
-    parallelizes read-only plans within a snapshot. *)
+    parallelizes read-only plans within a snapshot, so no parallel
+    touch runs while {!alloc_page} grows the frame table. *)
 
 type t
 
@@ -37,7 +43,7 @@ val create :
     the shape is what matters). *)
 
 val alloc_page : t -> int
-(** Allocate a fresh page id, resident and clean. *)
+(** Allocate the next page id (0, 1, 2, …), resident and clean. *)
 
 val touch : t -> int -> unit
 (** Read access: LRU hit, or miss (charged) with reload. *)

@@ -37,6 +37,12 @@ type t = {
      shapes per table).  Maintained incrementally on insert, vacuum and
      commit/abort — never rebuilt by scanning the heap. *)
   parts : (int, partition) Hashtbl.t;
+  (* the vacuum queue: vids retired since the last vacuum pass (or kept
+     by it, their deleter not yet past the horizon).  Commits push from
+     concurrent domains, so it is guarded by [retire_mu]. *)
+  retire_mu : Mutex.t;
+  mutable retired : int array;
+  mutable n_retired : int;
 }
 
 let create ~name ~labeled ~pool () =
@@ -48,6 +54,9 @@ let create ~name ~labeled ~pool () =
     len = 0;
     pages = 0;
     parts = Hashtbl.create 8;
+    retire_mu = Mutex.create ();
+    retired = Array.make 16 0;
+    n_retired = 0;
   }
 
 let partition_of t lid =
@@ -80,10 +89,22 @@ let iter_label_counts t f =
 let distinct_label_count t =
   Hashtbl.fold (fun _ p n -> if p.p_count > 0 then n + 1 else n) t.parts 0
 
-let retire_version t ~lid =
-  match Hashtbl.find_opt t.parts lid with
+(* caller holds [retire_mu] *)
+let queue_retired t vid =
+  if t.n_retired >= Array.length t.retired then begin
+    let bigger = Array.make (2 * Array.length t.retired) 0 in
+    Array.blit t.retired 0 bigger 0 t.n_retired;
+    t.retired <- bigger
+  end;
+  t.retired.(t.n_retired) <- vid;
+  t.n_retired <- t.n_retired + 1
+
+let retire_version t ~vid ~lid =
+  Mutex.protect t.retire_mu @@ fun () ->
+  (match Hashtbl.find_opt t.parts lid with
   | Some p -> if p.p_live > 0 then p.p_live <- p.p_live - 1
-  | None -> ()
+  | None -> ());
+  queue_retired t vid
 
 type partition_stats = {
   ps_lid : int;
@@ -200,20 +221,57 @@ let version_count t =
 
 let page_count t = t.pages
 
-let vacuum t ~dead =
-  let removed = ref 0 in
-  for i = 0 to t.len - 1 do
-    match t.slots.(i) with
-    | Some v when dead v ->
-        t.slots.(i) <- None;
-        (match
-           Hashtbl.find_opt t.parts (Ifdb_rel.Tuple.label_id v.tuple)
-         with
+let reclaim t vid =
+  if vid >= 0 && vid < t.len then
+    match t.slots.(vid) with
+    | None -> ()
+    | Some v -> (
+        t.slots.(vid) <- None;
+        match Hashtbl.find_opt t.parts (Ifdb_rel.Tuple.label_id v.tuple) with
         | Some p -> p.p_count <- p.p_count - 1
-        | None -> ());
-        incr removed
-    | Some _ | None -> ()
-  done;
+        | None -> ())
+
+let vacuum_retired t ~dead ~on_reclaim =
+  (* take the queue and start a fresh small one: a burst of retirements
+     (a bulk load's updates) must not pin a large array after the pass *)
+  let vids =
+    Mutex.protect t.retire_mu (fun () ->
+        let vids = Array.sub t.retired 0 t.n_retired in
+        t.retired <- Array.make 16 0;
+        t.n_retired <- 0;
+        vids)
+  in
+  (* one touch per distinct page: a byte per page id in the range the
+     queued versions span marks the pages this pass has read *)
+  let lo = ref max_int and hi = ref (-1) in
+  Array.iter
+    (fun vid ->
+      match t.slots.(vid) with
+      | Some v ->
+          if v.page < !lo then lo := v.page;
+          if v.page > !hi then hi := v.page
+      | None -> ())
+    vids;
+  let seen = Bytes.make (max 0 (!hi - !lo + 1)) '\000' in
+  let removed = ref 0 and kept = ref [] in
+  Array.iter
+    (fun vid ->
+      match t.slots.(vid) with
+      | None -> () (* queued twice and already reclaimed *)
+      | Some v ->
+          if Bytes.get seen (v.page - !lo) = '\000' then begin
+            Bytes.set seen (v.page - !lo) '\001';
+            Buffer_pool.touch t.bp v.page
+          end;
+          if dead v then begin
+            on_reclaim v;
+            reclaim t vid;
+            incr removed
+          end
+          else kept := vid :: !kept)
+    vids;
+  if !kept <> [] then
+    Mutex.protect t.retire_mu (fun () -> List.iter (queue_retired t) !kept);
   !removed
 
 let to_seq t =

@@ -20,7 +20,11 @@
     whole page runs by construction.  The merged-scan primitives
     enumerate only the partitions a caller keeps, in global vid order —
     the same versions, in the same order, as {!iter} plus a per-tuple
-    label filter. *)
+    label filter.
+
+    {b Vacuum.}  Vacuum is driven the same way: a version is queued
+    when it dies ({!retire_version}), and a pass visits only the queue
+    ({!vacuum_retired}). *)
 
 type version = {
   vid : int;                (** stable version id within this heap *)
@@ -73,10 +77,22 @@ val version_count : t -> int
 
 val page_count : t -> int
 
-val vacuum : t -> dead:(version -> bool) -> int
-(** Drop versions satisfying [dead]; returns how many were removed.
-    The garbage collector is exempt from information flow rules
-    (section 7.1) — it never inspects labels. *)
+val reclaim : t -> int -> unit
+(** Drop the version at this vid: its slot becomes a hole that scans
+    skip, and its partition's non-vacuumed count shrinks.  A no-op on
+    a hole or an out-of-range vid. *)
+
+val vacuum_retired :
+  t -> dead:(version -> bool) -> on_reclaim:(version -> unit) -> int
+(** One vacuum pass over the versions queued by {!retire_version} —
+    never over the whole heap, so its cost follows the garbage made
+    since the last pass, not the heap's history.  Each queued version
+    satisfying [dead] is passed to [on_reclaim] (to drop its index
+    entries) and then {!reclaim}ed; the others stay queued for the next
+    pass.  Charges one buffer-pool touch per distinct page visited.
+    Returns how many versions were removed.  The garbage collector is
+    exempt from information flow rules (section 7.1) — it never
+    inspects labels. *)
 
 val tuple_bytes : t -> Ifdb_rel.Tuple.t -> int
 (** Size of a tuple under this heap's size model. *)
@@ -105,11 +121,13 @@ val has_partition : t -> int -> bool
     the insert creates a new partition (which must conflict with
     concurrent full-table scans under serializable locking). *)
 
-val retire_version : t -> lid:int -> unit
-(** A version under [lid] stopped being live (its deleter committed,
-    or its creating transaction aborted): decrement the partition's
-    live count.  Stats only — scan pruning keys on the non-vacuumed
-    count, which stays a sound superset for every open snapshot. *)
+val retire_version : t -> vid:int -> lid:int -> unit
+(** The version [vid] under [lid] stopped being live (its deleter
+    committed, or its creating transaction aborted) — the only two ways
+    a version can die.  Decrements the partition's live count (stats
+    only: scan pruning keys on the non-vacuumed count, which stays a
+    sound superset for every open snapshot) and queues [vid] for
+    {!vacuum_retired}.  Safe to call from concurrent committers. *)
 
 type partition_stats = {
   ps_lid : int;

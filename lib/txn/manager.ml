@@ -28,10 +28,13 @@ type t = {
   the_wal : Ifdb_storage.Wal.t;
   gc : Group_commit.t;
   mu : Mutex.t;
-      (* guards commit/abort bookkeeping (statuses, open_txns) so
-         concurrent committers on the domain pool stay sound; begin and
-         the record_* paths run on the session thread as before *)
-  statuses : (int, status) Hashtbl.t;
+      (* guards the commit log, [next_xid] and [open_txns]: begin,
+         commit and abort all write them, and committers may run on
+         concurrent domains of the pool; the record_* paths run on the
+         session thread *)
+  mutable clog : Bytes.t;
+      (* the commit log: one byte per xid (see [status_of]); written
+         under [mu], read without it *)
   mutable next_xid : int;
   mutable open_txns : txn list;
   locking : bool;
@@ -45,6 +48,13 @@ type t = {
          Exported as ifdb_lock_wait_ns_total. *)
 }
 
+(* Commit-log bytes.  A byte never written (an xid not yet begun, or
+   past the log's end) reads as aborted, as PostgreSQL's clog reads an
+   unknown xid as never-committed. *)
+let clog_aborted = '\000'
+let clog_running = '\001'
+let clog_committed = '\002'
+
 let create ?wal ?(serializable_locking = false) ?(commit_batch = 1)
     ?(sync_commit = false) () =
   let the_wal = match wal with Some w -> w | None -> Ifdb_storage.Wal.create () in
@@ -52,7 +62,7 @@ let create ?wal ?(serializable_locking = false) ?(commit_batch = 1)
     the_wal;
     gc = Group_commit.create ~batch:commit_batch ~synchronous:sync_commit the_wal;
     mu = Mutex.create ();
-    statuses = Hashtbl.create 1024;
+    clog = Bytes.make 1024 clog_aborted;
     next_xid = 1;
     open_txns = [];
     locking = serializable_locking;
@@ -66,9 +76,24 @@ let lock_wait_ns t = Atomic.get t.lock_wait_ns
 let flush_wal t = Group_commit.flush t.gc
 
 let status_of t xid =
-  match Hashtbl.find_opt t.statuses xid with
-  | Some s -> s
-  | None -> Aborted (* unknown xid: treat as never-committed *)
+  let log = t.clog in
+  if xid < 0 || xid >= Bytes.length log then Aborted
+  else
+    match Bytes.unsafe_get log xid with
+    | '\001' -> In_progress
+    | '\002' -> Committed
+    | _ -> Aborted
+
+(* Caller holds [mu], so a begin that grows the log cannot replace the
+   array under a concurrent commit's write. *)
+let set_status t xid c =
+  let len = Bytes.length t.clog in
+  if xid >= len then begin
+    let bigger = Bytes.make (max (2 * len) (xid + 1)) clog_aborted in
+    Bytes.blit t.clog 0 bigger 0 len;
+    t.clog <- bigger
+  end;
+  Bytes.set t.clog xid c
 
 let live_xids t =
   List.filter_map
@@ -76,9 +101,10 @@ let live_xids t =
     t.open_txns
 
 let begin_txn t =
+  Mutex.protect t.mu @@ fun () ->
   let xid = t.next_xid in
-  t.next_xid <- t.next_xid + 1;
-  Hashtbl.replace t.statuses xid In_progress;
+  t.next_xid <- xid + 1;
+  set_status t xid clog_running;
   let txn =
     {
       t_xid = xid;
@@ -317,7 +343,7 @@ let commit t txn =
   require_open txn "commit";
   let mark_committed () =
     txn.t_state <- Committed;
-    Hashtbl.replace t.statuses txn.t_xid Committed;
+    set_status t txn.t_xid clog_committed;
     close t txn
   in
   (match Span.current () with
@@ -341,13 +367,16 @@ let commit t txn =
         Span.emit ctx "lock.hold"
           ~args:[ ("lock", "s2pl") ]
           ~t0:txn.t_lock_t0 ~t1:t2);
-  (* committed deletes retire their versions from the partition live
-     counts (directory stats; scan pruning keys on the non-vacuumed
-     counts, which only vacuum shrinks) *)
+  (* committed deletes retire their versions: out of the partition
+     live counts (directory stats; scan pruning keys on the
+     non-vacuumed counts, which only vacuum shrinks) and onto the
+     heap's vacuum queue *)
   List.iter
     (fun w ->
       match w.w_kind with
-      | `Delete -> Ifdb_storage.Heap.retire_version w.w_heap ~lid:w.w_label_id
+      | `Delete ->
+          Ifdb_storage.Heap.retire_version w.w_heap ~vid:w.w_vid
+            ~lid:w.w_label_id
       | `Insert -> ())
     txn.t_writes;
   (* Read-only transactions never logged a Begin, so there is nothing
@@ -358,16 +387,18 @@ let abort t txn =
   if txn.t_state = In_progress then begin
     Mutex.protect t.mu (fun () ->
         txn.t_state <- Aborted;
-        Hashtbl.replace t.statuses txn.t_xid Aborted;
+        set_status t txn.t_xid clog_aborted;
         close t txn);
     (* Undo delete stamps so later writers are not blocked by a ghost;
-       inserted versions die via their aborted xmin (and retire from
-       the partition live counts now). *)
+       inserted versions die via their aborted xmin (and retire now,
+       like a committed delete). *)
     List.iter
       (fun w ->
         match w.w_kind with
         | `Delete -> Ifdb_storage.Heap.clear_xmax w.w_heap ~vid:w.w_vid ~xid:txn.t_xid
-        | `Insert -> Ifdb_storage.Heap.retire_version w.w_heap ~lid:w.w_label_id)
+        | `Insert ->
+            Ifdb_storage.Heap.retire_version w.w_heap ~vid:w.w_vid
+              ~lid:w.w_label_id)
       txn.t_writes;
     if txn.t_logged then
       Ifdb_storage.Wal.append t.the_wal (Ifdb_storage.Wal.Abort txn.t_xid)
@@ -384,6 +415,7 @@ let with_txn t f =
       raise e
 
 let oldest_visible_xid t =
+  Mutex.protect t.mu @@ fun () ->
   List.fold_left
-    (fun acc txn -> min acc txn.snapshot.Snapshot.snap_xmax)
+    (fun acc txn -> min acc txn.snapshot.Snapshot.snap_xmin)
     t.next_xid t.open_txns

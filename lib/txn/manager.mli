@@ -17,10 +17,14 @@
       write transactions commit through {!Group_commit}, which can
       coalesce several commit records into one fsync.
 
-    Interleaving model: begins and the record_* paths run on the
-    session thread, but {!commit} and {!abort} are safe to call from
+    Transaction status lives in a commit log of one byte per xid
+    (PostgreSQL's clog): {!status_of} is a bounds check and a load.
+
+    Interleaving model: the record_* paths run on the session thread,
+    but {!begin_txn}, {!commit} and {!abort} are safe to call from
     concurrent domains (e.g. tasks on a domain pool): their
-    bookkeeping is mutex-guarded and the WAL serializes internally. *)
+    bookkeeping — the commit log, the next xid and the open-transaction
+    list — is mutex-guarded, and the WAL serializes internally. *)
 
 exception Serialization_failure of string
 (** A write-write conflict under snapshot isolation. *)
@@ -75,9 +79,16 @@ val flush_wal : t -> unit
     pending). *)
 
 val begin_txn : t -> txn
+(** Assign the next xid, mark it in progress in the commit log
+    (growing the log if needed) and take a snapshot of the transactions
+    still open. *)
+
 val xid : txn -> int
 val state : txn -> status
+
 val status_of : t -> int -> status
+(** The xid's commit-log entry.  An xid never begun — negative, zero,
+    or past the log's end — reads [Aborted]: never committed. *)
 
 val visible : t -> txn -> Ifdb_storage.Heap.version -> bool
 (** MVCC visibility of a heap version to this transaction. *)
@@ -173,5 +184,12 @@ val live_xids : t -> int list
 (** Xids currently in progress. *)
 
 val oldest_visible_xid : t -> int
-(** A horizon for vacuum: versions deleted by transactions that
-    committed before every live snapshot are dead. *)
+(** The vacuum horizon: the smallest [snap_xmin] over open
+    transactions, or the next xid when none is open (PostgreSQL's
+    oldest xmin).  Every xid below it had finished before every open
+    snapshot was taken, and so has every future snapshot's: a version
+    whose deleter committed with an xid below the horizon is invisible
+    to all of them, and vacuum may reclaim it.  (The smallest
+    [snap_xmax] would not do: a deleter still running when an open
+    snapshot was taken lies below that snapshot's [snap_xmax], yet the
+    snapshot must keep seeing the version.) *)

@@ -908,6 +908,156 @@ let test_vacuum_core () =
   Alcotest.(check (list int)) "data intact" [ 12; 13 ]
     (List.sort Int.compare (ints_of_rows (Db.query s "SELECT a FROM T")))
 
+(* The vacuum horizon is the oldest open snapshot's xmin: B began while
+   A's update ran, so B keeps seeing the version A superseded after A
+   commits, and vacuum must not reclaim it until B closes. *)
+let test_vacuum_spares_open_snapshot () =
+  let db = Db.create () in
+  let a = Db.connect_admin db and b = Db.connect_admin db in
+  ignore (Db.exec a "CREATE TABLE t (k INT PRIMARY KEY, v INT)");
+  ignore (Db.exec a "INSERT INTO t VALUES (1, 10), (2, 20)");
+  let count () = Value.to_int (Db.query_one b "SELECT COUNT(*) FROM t" => 0) in
+  ignore (Db.exec a "BEGIN");
+  ignore (Db.exec a "UPDATE t SET v = 11 WHERE k = 1");
+  ignore (Db.exec b "BEGIN");
+  Alcotest.(check int) "B sees both rows" 2 (count ());
+  ignore (Db.exec a "COMMIT");
+  Alcotest.(check int) "nothing B can see is reclaimed" 0 (Db.vacuum db);
+  Alcotest.(check int) "B still sees both rows" 2 (count ());
+  ignore (Db.exec b "COMMIT");
+  Alcotest.(check int) "reclaimed once B closes" 1 (Db.vacuum db);
+  Alcotest.(check int) "both rows after vacuum" 2 (count ())
+
+(* MVCC and vacuum oracle.  Sessions interleave explicit and implicit
+   transactions over a keyed table, with vacuum at random points.  At
+   each vacuum: every open transaction's SELECT reads the same before
+   and after, vacuum removes exactly the versions a reference sweep over
+   the whole heap calls dead, and none remain.  The reference horizon
+   is the smallest xid running when an open transaction began (or its
+   own xid), tracked here from [Manager.live_xids]. *)
+type mv_op =
+  | Mv_begin of int
+  | Mv_insert of int * int * int
+  | Mv_update of int * int * int
+  | Mv_delete of int * int
+  | Mv_commit of int
+  | Mv_rollback of int
+  | Mv_vacuum
+
+let mv_sql = function
+  | Mv_begin _ -> "BEGIN"
+  | Mv_insert (_, k, v) -> Printf.sprintf "INSERT INTO t VALUES (%d, %d)" k v
+  | Mv_update (_, k, v) -> Printf.sprintf "UPDATE t SET v = %d WHERE k = %d" v k
+  | Mv_delete (_, k) -> Printf.sprintf "DELETE FROM t WHERE k = %d" k
+  | Mv_commit _ -> "COMMIT"
+  | Mv_rollback _ -> "ROLLBACK"
+  | Mv_vacuum -> "VACUUM"
+
+let mvcc_vacuum_prop =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 2 3 in
+      let sess = int_bound (n - 1) and key = int_bound 3 and v = int_bound 99 in
+      let+ ops =
+        list_size (int_range 5 60)
+          (frequency
+             [ (3, map (fun i -> Mv_begin i) sess);
+               (3, map3 (fun i k v -> Mv_insert (i, k, v)) sess key v);
+               (4, map3 (fun i k v -> Mv_update (i, k, v)) sess key v);
+               (2, map2 (fun i k -> Mv_delete (i, k)) sess key);
+               (2, map (fun i -> Mv_commit i) sess);
+               (1, map (fun i -> Mv_rollback i) sess);
+               (3, return Mv_vacuum) ])
+      in
+      (n, ops))
+  in
+  let print (n, ops) =
+    Printf.sprintf "%d sessions: %s" n
+      (String.concat "; "
+         (List.map
+            (fun op ->
+              match op with
+              | Mv_begin i | Mv_insert (i, _, _) | Mv_update (i, _, _)
+              | Mv_delete (i, _) | Mv_commit i | Mv_rollback i ->
+                  Printf.sprintf "s%d %s" i (mv_sql op)
+              | Mv_vacuum -> mv_sql op)
+            ops))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"open snapshots survive vacuum"
+       (QCheck.make ~print
+          ~shrink:QCheck.Shrink.(pair nil list)
+          gen)
+       (fun (n, ops) ->
+         let db = Db.create () in
+         let admin = Db.connect_admin db in
+         ignore (Db.exec admin "CREATE TABLE t (k INT PRIMARY KEY, v INT)");
+         ignore (Db.exec admin "INSERT INTO t VALUES (0, 0), (1, 1)");
+         let mgr = Db.manager db in
+         let heap = (Catalog.table (Db.catalog db) "t").Catalog.tbl_heap in
+         let sessions = Array.init n (fun _ -> Db.connect_admin db) in
+         (* per session: the reference snapshot xmin of its open
+            explicit transaction *)
+         let xmin = Array.make n None in
+         let exec i sql =
+           try ignore (Db.exec sessions.(i) sql)
+           with _ -> xmin.(i) <- None (* an error aborts the transaction *)
+         in
+         let rows i =
+           List.map
+             (fun r -> (Value.to_int (r => 0), Value.to_int (r => 1)))
+             (Db.query sessions.(i) "SELECT k, v FROM t ORDER BY k")
+         in
+         let dead horizon (v : Ifdb_storage.Heap.version) =
+           let status = Ifdb_txn.Manager.status_of mgr in
+           status v.Ifdb_storage.Heap.xmin = Ifdb_txn.Manager.Aborted
+           || v.Ifdb_storage.Heap.xmax <> 0
+              && status v.Ifdb_storage.Heap.xmax = Ifdb_txn.Manager.Committed
+              && v.Ifdb_storage.Heap.xmax < horizon
+         in
+         let count_dead horizon =
+           let c = ref 0 in
+           Ifdb_storage.Heap.iter heap (fun v -> if dead horizon v then incr c);
+           !c
+         in
+         List.for_all
+           (fun op ->
+             match op with
+             | Mv_begin i when xmin.(i) = None ->
+                 let running = Ifdb_txn.Manager.live_xids mgr in
+                 exec i (mv_sql op);
+                 let own =
+                   List.fold_left max 0 (Ifdb_txn.Manager.live_xids mgr)
+                 in
+                 xmin.(i) <- Some (List.fold_left min own running);
+                 true
+             | Mv_begin _ -> true
+             | Mv_insert (i, _, _) | Mv_update (i, _, _) | Mv_delete (i, _) ->
+                 exec i (mv_sql op);
+                 true
+             | Mv_commit i | Mv_rollback i ->
+                 if xmin.(i) <> None then begin
+                   exec i (mv_sql op);
+                   xmin.(i) <- None
+                 end;
+                 true
+             | Mv_vacuum ->
+                 let open_txns =
+                   List.filter (fun i -> xmin.(i) <> None) (List.init n Fun.id)
+                 in
+                 let horizon =
+                   Array.fold_left
+                     (fun h x -> match x with Some x -> min h x | None -> h)
+                     max_int xmin
+                 in
+                 let before = List.map rows open_txns in
+                 let expected = count_dead horizon in
+                 let removed = Db.vacuum db in
+                 List.map rows open_txns = before
+                 && removed = expected
+                 && count_dead horizon = 0)
+           ops))
+
 let suites =
   [
     ( "core.query_by_label",
@@ -995,5 +1145,11 @@ let suites =
       ] );
     ( "core.baseline",
       [ Alcotest.test_case "ifc off = plain SQL" `Quick test_baseline_mode_plain_sql ] );
-    ("core.maintenance", [ Alcotest.test_case "vacuum" `Quick test_vacuum_core ]);
+    ( "core.maintenance",
+      [
+        Alcotest.test_case "vacuum" `Quick test_vacuum_core;
+        Alcotest.test_case "vacuum spares an open snapshot" `Quick
+          test_vacuum_spares_open_snapshot;
+        mvcc_vacuum_prop;
+      ] );
   ]

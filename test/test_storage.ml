@@ -96,6 +96,89 @@ let test_pool_flush_all () =
   Buffer_pool.flush_all bp;
   Alcotest.(check int) "idempotent" 2 (Buffer_pool.stats bp).page_writes
 
+(* The pool against an LRU model: a most-recent-first list of
+   (page, dirty) capped at the capacity (none: unbounded).  Sequences
+   allocate up to ~120 pages, often past the frame table's 64 initial
+   frames, so growth is covered. *)
+type pool_op = Alloc | Touch of int | Dirty of int | Flush
+
+let pool_model_prop =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (opt (int_range 1 8))
+        (list_size (int_bound 400)
+           (frequency
+              [ (3, return Alloc);
+                (4, map (fun i -> Touch i) nat);
+                (2, map (fun i -> Dirty i) nat);
+                (1, return Flush) ])))
+  in
+  let print (cap, ops) =
+    Printf.sprintf "capacity %s, ops [%s]"
+      (match cap with Some c -> string_of_int c | None -> "none")
+      (String.concat "; "
+         (List.map
+            (function
+              | Alloc -> "alloc"
+              | Touch i -> Printf.sprintf "touch %d" i
+              | Dirty i -> Printf.sprintf "dirty %d" i
+              | Flush -> "flush")
+            ops))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"pool = LRU model"
+       (QCheck.make ~print ~shrink:QCheck.Shrink.(pair nil list) gen)
+       (fun (cap, ops) ->
+         let bp = Buffer_pool.create ~capacity_pages:cap () in
+         let cap = Option.value cap ~default:max_int in
+         let lru = ref [] and hits = ref 0 and misses = ref 0 in
+         let writes = ref 0 and next = ref 0 in
+         let write_back dirty = if dirty then incr writes in
+         let push page dirty =
+           lru := (page, dirty) :: !lru;
+           if List.length !lru > cap then begin
+             let keep = List.filteri (fun i _ -> i < cap) !lru in
+             List.iteri (fun i (_, d) -> if i >= cap then write_back d) !lru;
+             lru := keep
+           end
+         in
+         let access page ~dirty =
+           match List.assoc_opt page !lru with
+           | Some was_dirty ->
+               incr hits;
+               lru := List.remove_assoc page !lru;
+               push page (was_dirty || dirty)
+           | None ->
+               incr misses;
+               push page dirty
+         in
+         List.for_all
+           (fun op ->
+             (match op with
+             | Alloc ->
+                 Alcotest.(check int) "dense page ids" !next
+                   (Buffer_pool.alloc_page bp);
+                 push !next false;
+                 incr next
+             | (Touch i | Dirty i) when !next = 0 -> ignore i
+             | Touch i ->
+                 Buffer_pool.touch bp (i mod !next);
+                 access (i mod !next) ~dirty:false
+             | Dirty i ->
+                 Buffer_pool.dirty bp (i mod !next);
+                 access (i mod !next) ~dirty:true
+             | Flush ->
+                 Buffer_pool.flush_all bp;
+                 List.iter (fun (_, d) -> write_back d) !lru;
+                 lru := List.map (fun (p, _) -> (p, false)) !lru);
+             let s = Buffer_pool.stats bp in
+             s.Buffer_pool.hits = !hits
+             && s.Buffer_pool.misses = !misses
+             && s.Buffer_pool.page_writes = !writes
+             && Buffer_pool.resident bp = List.length !lru)
+           ops))
+
 (* ------------------------------------------------------------------ *)
 (* Heap                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -144,6 +227,14 @@ let test_heap_page_packing () =
     (Printf.sprintf "labeled (%d) > unlabeled (%d) pages" labeled_pages unlabeled_pages)
     true (labeled_pages > unlabeled_pages)
 
+(* Reclaim every version satisfying [dead], as a vacuum pass would;
+   returns how many were removed. *)
+let punch h dead =
+  let vids = ref [] in
+  Heap.iter h (fun v -> if dead v then vids := v.Heap.vid :: !vids);
+  List.iter (Heap.reclaim h) !vids;
+  List.length !vids
+
 let test_heap_iter_vacuum () =
   let bp = Buffer_pool.create () in
   let h = Heap.create ~name:"t" ~labeled:true ~pool:bp () in
@@ -156,7 +247,7 @@ let test_heap_iter_vacuum () =
     (List.rev !seen);
   Alcotest.(check int) "count" 10 (Heap.version_count h);
   let removed =
-    Heap.vacuum h ~dead:(fun v -> Value.to_int (Tuple.get v.Heap.tuple 0) mod 2 = 0)
+    punch h (fun v -> Value.to_int (Tuple.get v.Heap.tuple 0) mod 2 = 0)
   in
   Alcotest.(check int) "removed" 5 removed;
   Alcotest.(check int) "count after" 5 (Heap.version_count h);
@@ -226,8 +317,7 @@ let test_heap_partitions () =
   in
   check_merge "before vacuum";
   let removed =
-    Heap.vacuum h ~dead:(fun v ->
-        Value.to_int (Tuple.get v.Heap.tuple 0) mod 5 = 0)
+    punch h (fun v -> Value.to_int (Tuple.get v.Heap.tuple 0) mod 5 = 0)
   in
   Alcotest.(check int) "vacuumed" 120 removed;
   check_merge "after vacuum"
@@ -342,8 +432,7 @@ let heap_merge_prop =
          in
          let before = agree () in
          if vacuum_mod > 0 then
-           ignore
-             (Heap.vacuum h ~dead:(fun v -> v.Heap.vid mod vacuum_mod = 0));
+           ignore (punch h (fun v -> v.Heap.vid mod vacuum_mod = 0));
          before && agree ()))
 
 (* [seq_merge] stays lazy: the first version of a 60k-version heap in 64
@@ -670,6 +759,7 @@ let suites =
         Alcotest.test_case "lru order" `Quick test_pool_lru_order;
         Alcotest.test_case "dirty writeback" `Quick test_pool_dirty_writeback;
         Alcotest.test_case "flush_all" `Quick test_pool_flush_all;
+        pool_model_prop;
       ] );
     ( "storage.heap",
       [

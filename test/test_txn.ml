@@ -322,7 +322,15 @@ let test_oldest_visible_xid () =
     (Manager.oldest_visible_xid m > Manager.xid t1);
   Manager.commit m t2;
   Alcotest.(check int) "no open txns: horizon = next xid"
-    (Manager.xid t2 + 1) (Manager.oldest_visible_xid m)
+    (Manager.xid t2 + 1) (Manager.oldest_visible_xid m);
+  (* t4's snapshot was taken while t3 ran, so t3's deletes stay visible
+     to it after t3 commits: the horizon must not pass t3 *)
+  let t3 = Manager.begin_txn m in
+  let t4 = Manager.begin_txn m in
+  Manager.commit m t3;
+  Alcotest.(check bool) "horizon held by a snapshot that saw t3 running" true
+    (Manager.oldest_visible_xid m <= Manager.xid t3);
+  Manager.commit m t4
 
 let test_vacuum_with_horizon () =
   let m, h = fresh () in
@@ -340,8 +348,82 @@ let test_vacuum_with_horizon () =
      && ver.Heap.xmax < horizon)
     || Manager.status_of m ver.Heap.xmin = Manager.Aborted
   in
-  Alcotest.(check int) "one dead version" 1 (Heap.vacuum h ~dead);
+  Alcotest.(check int) "one dead version" 1
+    (Heap.vacuum_retired h ~dead ~on_reclaim:ignore);
   Alcotest.(check int) "heap empty" 0 (Heap.version_count h)
+
+let status =
+  Alcotest.testable
+    (fun ppf s ->
+      Fmt.string ppf
+        (match s with
+        | Manager.In_progress -> "in progress"
+        | Manager.Committed -> "committed"
+        | Manager.Aborted -> "aborted"))
+    ( = )
+
+(* The commit log reads never-begun xids as aborted, and keeps every
+   status across growth past its initial size. *)
+let test_commit_log () =
+  let m, _h = fresh () in
+  List.iter
+    (fun (what, xid) ->
+      Alcotest.check status what Manager.Aborted (Manager.status_of m xid))
+    [ ("negative", -1); ("zero", 0); ("not yet begun", 1);
+      ("far past the end", 1_000_000); ("max_int", max_int);
+      ("min_int", min_int) ];
+  let expected i =
+    if i mod 100 = 7 then Manager.In_progress
+    else if i mod 2 = 0 then Manager.Committed
+    else Manager.Aborted
+  in
+  let txns =
+    Array.init 3000 (fun i ->
+        let t = Manager.begin_txn m in
+        (match expected i with
+        | Manager.Committed -> Manager.commit m t
+        | Manager.Aborted -> Manager.abort m t
+        | Manager.In_progress -> ());
+        t)
+  in
+  Array.iteri
+    (fun i t ->
+      Alcotest.check status
+        (Printf.sprintf "xid %d" (Manager.xid t))
+        (expected i)
+        (Manager.status_of m (Manager.xid t)))
+    txns;
+  Alcotest.check status "next xid" Manager.Aborted
+    (Manager.status_of m (Manager.xid txns.(2999) + 1))
+
+(* Snapshot bounds against a list-based reference: an xid is seen when
+   it is below [snap_xmax] and was not running; [snap_xmin] is the
+   smallest running xid, or [snap_xmax] when none ran. *)
+let snapshot_prop =
+  let gen =
+    QCheck.Gen.(
+      let* snap_xmax = int_range 1 300 in
+      let+ running = list_size (int_bound 20) (int_range 1 snap_xmax) in
+      (* distinct, below the bound, descending: [make] must sort *)
+      ( snap_xmax,
+        List.filter (fun x -> x < snap_xmax) running
+        |> List.sort_uniq Int.compare |> List.rev ))
+  in
+  let print (snap_xmax, running) =
+    Printf.sprintf "snap_xmax %d, running [%s]" snap_xmax
+      (String.concat ";" (List.map string_of_int running))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"sees_xid = list reference"
+       (QCheck.make ~print gen) (fun (snap_xmax, running) ->
+         let s = Snapshot.make ~snap_xmax ~in_progress:running in
+         s.Snapshot.snap_xmin
+         = List.fold_left min snap_xmax running
+         && List.for_all
+              (fun x ->
+                Snapshot.sees_xid s x
+                = (x < snap_xmax && not (List.mem x running)))
+              (List.init (snap_xmax + 10) (fun i -> i - 5))))
 
 (* Model-based MVCC property: a random history of single-operation
    transactions (insert / delete-by-value, committed or aborted) must
@@ -400,7 +482,8 @@ let mvcc_model_prop =
 
 let suites =
   [
-    ("txn.properties", [ mvcc_model_prop ]);
+    ("txn.properties", [ mvcc_model_prop; snapshot_prop ]);
+    ("txn.commit_log", [ Alcotest.test_case "unknown xids, growth" `Quick test_commit_log ]);
     ( "txn.visibility",
       [
         Alcotest.test_case "own writes" `Quick test_own_writes_visible;
