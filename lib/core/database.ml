@@ -54,17 +54,67 @@ type mx = {
 (* Plan cache                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Where an UPDATE or DELETE finds its targets: the index prefix
+   [Planner.best_prefix] chose for its predicate, whose key and bound
+   expressions are evaluated per execution, or a sequential scan. *)
+type dml_access =
+  | By_index of {
+      ix : Catalog.index;
+      ix_prefix : Expr.t array;
+      ix_range : ((Expr.t * bool) option * (Expr.t * bool) option) option;
+    }
+  | By_scan
+
+(* An UPDATE's or DELETE's target rows: the table record, the lowered
+   predicate and the access path. *)
+type dml_target = {
+  dt_tbl : Catalog.table;
+  dt_pred : Expr.t option;
+  dt_access : dml_access;
+}
+
+type update_plan = {
+  up_target : dml_target;
+  up_sets : (int * Expr.t) list;  (* column position, lowered value *)
+  up_unique_sets : int array;
+      (* the SET columns some unique index covers: a new version equal
+         to the old one on these, under the old label id, keeps its
+         (key, label) identity *)
+}
+
+(* An INSERT resolved against the catalog, a view target rewritten to
+   its base table.  Trigger presence is not here: CREATE and DROP
+   TRIGGER leave the catalog version alone, so it is read per
+   execution. *)
+type insert_plan = {
+  ip_tbl : Catalog.table;
+  ip_view_label : Label.t;  (* joined into every row's label *)
+  ip_positions : int array;  (* target column of each VALUES position *)
+  ip_rows : Expr.t list list;  (* lowered VALUES rows *)
+  ip_select : Plan.t option;  (* INSERT ... SELECT *)
+  ip_batchable : bool;
+      (* no self-referencing foreign key, and no VALUES expression that
+         could observe database state *)
+  ip_declassifying : string list;  (* resolved, with authority, per run *)
+}
+
+type stmt_plan =
+  | Select_plan of Plan.t * string list  (* plan, output column names *)
+  | Update_plan of update_plan
+  | Delete_plan of dml_target
+  | Insert_plan of insert_plan
+
 (* One cached plan.  Plans are name-based (scans resolve tables through
    the executor context at run time) and parameter slots are [Expr.Param]
    leaves, so a single plan serves every binding — but view expansion,
-   declassify labels and index choice were all resolved against a
-   specific catalog and authority state, so every entry is stamped with
-   the versions it was planned under and discarded when either moves.
-   Scan-time confinement ([partition_scan_filter]) is re-derived per
-   execution from the session, never baked into the plan. *)
+   declassify labels, table records and index choice were all resolved
+   against a specific catalog and authority state, so every entry is
+   stamped with the versions it was planned under and discarded when
+   either moves.  Scan-time confinement ([partition_scan_filter]) is
+   re-derived per execution from the session, never baked into the
+   plan. *)
 type plan_entry = {
-  pe_plan : Plan.t;
-  pe_columns : string list;
+  pe_plan : stmt_plan;
   pe_cat_version : int;
   pe_generation : int;  (* Authority.generation at plan time *)
 }
@@ -81,9 +131,10 @@ type stmt_cache = {
   sc_text : string;  (* canonical rendering, placeholders intact *)
   sc_nparams : int;
   sc_cacheable : bool;
-      (* SELECT without expression-position subqueries: those lower to
-         memoizing [Expr.Lazy_const] thunks capturing one execution's
-         context, so such plans must be rebuilt every execution *)
+      (* SELECT or DML without expression-position subqueries: those
+         lower to memoizing [Expr.Lazy_const] thunks capturing one
+         execution's context, so such plans must be rebuilt every
+         execution *)
   mutable sc_diags : Diag.t list;
   mutable sc_stamp : int * int * int;
       (* (catalog version, authority generation, session-label id) the
@@ -556,8 +607,7 @@ let open_scan s ~heap ~extra =
 
 let table_heap s table = (Catalog.table s.sdb.cat table).Catalog.tbl_heap
 
-let scan_versions s ~table ~extra : Heap.version Seq.t =
-  let heap = table_heap s table in
+let scan_versions s ~heap ~extra : Heap.version Seq.t =
   match open_scan s ~heap ~extra with
   | None -> Seq.empty
   | Some (txn, keep, residual) ->
@@ -603,25 +653,13 @@ let morsel_scan s ~table ~extra : Executor.morsel_source option =
   if Heap.slot_count heap < 2 * morsel then None
   else Some (merge_source s ~heap ~extra ~morsel)
 
-let scan_prefix_versions s ~table ~index ~prefix ?(lo = None) ?(hi = None)
-    ~extra () : Heap.version Seq.t =
+(* enumerate only the index segments whose label flows to the session:
+   pruning applies to index scans exactly as to heap scans, and the
+   per-segment streams merge into global (key, vid) order.  Lazy:
+   postings stream straight off the leaf chains, so a consumer that
+   stops early (LIMIT, probe join) walks only what it needs. *)
+let index_versions s ~heap ~idx ~prefix ~lo ~hi ~extra : Heap.version Seq.t =
   let txn = current_txn s "scan" in
-  let tbl = Catalog.table s.sdb.cat table in
-  let heap = tbl.Catalog.tbl_heap in
-  let idx =
-    match
-      List.find_opt
-        (fun i -> norm i.Catalog.idx_name = norm index)
-        tbl.Catalog.tbl_indexes
-    with
-    | Some i -> i
-    | None -> Errors.sql "no such index: %s" index
-  in
-  (* enumerate only the index segments whose label flows to the
-     session: pruning applies to index scans exactly as to heap scans,
-     and the per-segment streams merge into global (key, vid) order.
-     Lazy: postings stream straight off the leaf chains, so a consumer
-     that stops early (LIMIT, probe join) walks only what it needs. *)
   let keep, residual, any_visible, visited =
     partition_scan_filter s ~heap ~extra
   in
@@ -631,6 +669,19 @@ let scan_prefix_versions s ~table ~index ~prefix ?(lo = None) ?(hi = None)
     Catalog.seq_index_prefix idx ~keep ~prefix ~lo ~hi
     |> Seq.filter_map (fun (_key, vid) -> Heap.get_opt heap vid)
     |> Seq.filter (fun v -> Manager.visible s.sdb.mgr txn v && residual v)
+
+let scan_prefix_versions s ~table ~index ~prefix ~lo ~hi ~extra =
+  let tbl = Catalog.table s.sdb.cat table in
+  let idx =
+    match
+      List.find_opt
+        (fun i -> norm i.Catalog.idx_name = norm index)
+        tbl.Catalog.tbl_indexes
+    with
+    | Some i -> i
+    | None -> Errors.sql "no such index: %s" index
+  in
+  index_versions s ~heap:tbl.Catalog.tbl_heap ~idx ~prefix ~lo ~hi ~extra
 
 (* The declassifying-view label transform: strip tags covered by the
    view's declassify label, then apply a relabeling view's (from, to)
@@ -695,7 +746,8 @@ let exec_ctx s : Executor.ctx =
     Executor.fenv = fenv s;
     scan_table =
       (fun table ~extra ->
-        Seq.map (fun v -> v.Heap.tuple) (scan_versions s ~table ~extra));
+        Seq.map (fun v -> v.Heap.tuple)
+          (scan_versions s ~heap:(table_heap s table) ~extra));
     (* the whole table as one range *)
     scan_push =
       (fun ~table ~extra ->
@@ -703,7 +755,7 @@ let exec_ctx s : Executor.ctx =
     scan_prefix =
       (fun ~table ~index ~prefix ~lo ~hi ~extra ->
         Seq.map (fun v -> v.Heap.tuple)
-          (scan_prefix_versions s ~table ~index ~prefix ~lo ~hi ~extra ()));
+          (scan_prefix_versions s ~table ~index ~prefix ~lo ~hi ~extra));
     strip = (fun d relabel l -> strip_label s.sdb d relabel l);
     mv_read =
       (fun ~view ~extra ->
@@ -1434,49 +1486,6 @@ let insert_many s ~table rows =
         insert_tuples_batch s txn tbl tuples ~declared:Label.empty;
       List.length rows)
 
-(* Shared write-target lookup for UPDATE/DELETE: visible, confined rows
-   matching the predicate, via the best index prefix when one exists. *)
-let dml_targets s txn tbl (pred : Expr.t option) =
-  let table_name = tbl.Catalog.tbl_schema.Schema.table_name in
-  let source =
-    match Option.map (fun p -> Planner.best_prefix tbl p) pred with
-    | Some (Some (index, prefix, range)) ->
-        (* prefix keys and range bounds are expressions now (they may be
-           [$n] parameters); evaluate them against the empty row.  A
-           NULL key component matches nothing: the bound derives from an
-           equality/comparison conjunct of the predicate. *)
-        let env = fenv s in
-        let one_row = Tuple.make ~values:[||] ~label:Label.empty in
-        let key = Array.map (fun e -> Expr.eval env one_row e) prefix in
-        let bound =
-          Option.map (fun (e, incl) -> (Expr.eval env one_row e, incl))
-        in
-        let lo, hi =
-          match range with
-          | None -> (None, None)
-          | Some (l, h) -> (bound l, bound h)
-        in
-        let null_bound = function
-          | Some (v, _) -> Value.is_null v
-          | None -> false
-        in
-        if Array.exists Value.is_null key || null_bound lo || null_bound hi
-        then Seq.empty
-        else
-          scan_prefix_versions s ~table:table_name ~index ~prefix:key ~lo ~hi
-            ~extra:Label.empty ()
-    | Some None | None -> scan_versions s ~table:table_name ~extra:Label.empty
-  in
-  ignore txn;
-  let env = fenv s in
-  List.of_seq
-    (Seq.filter
-       (fun v ->
-         match pred with
-         | None -> true
-         | Some p -> Expr.eval_pred env v.Heap.tuple p)
-       source)
-
 (* Write Rule (section 4.2): a process may modify only tuples labeled
    exactly its own label.  Lower-labeled tuples are visible but not
    writable; higher-labeled tuples were already filtered out.  The
@@ -1570,124 +1579,225 @@ let resolve_insert_target s i_table i_columns =
                 "view %s is not updatable (only simple projections of one                  table are)"
                 i_table))
 
-let exec_insert s txn (stmt : A.stmt) =
-  match stmt with
-  | A.S_insert { i_table; i_columns; i_rows; i_select; i_declassifying } ->
-      let tbl, i_columns, view_label = resolve_insert_target s i_table i_columns in
-      let schema = tbl.Catalog.tbl_schema in
-      let declared = resolve_declared_tags s i_declassifying in
-      let env = fenv s in
-      let empty_row = Tuple.make ~values:[||] ~label:Label.empty in
-      let positions =
-        match i_columns with
-        | None -> Array.init (Schema.arity schema) Fun.id
-        | Some cols ->
-            Array.of_list
-              (List.map
-                 (fun c ->
-                   match Schema.col_index_opt schema c with
-                   | Some i -> i
-                   | None ->
-                       Errors.sql "column %s of %s does not exist" c i_table)
-                 cols)
-      in
-      let widen row_values =
-        if Array.length row_values <> Array.length positions then
-          Errors.sql "INSERT has %d expressions but %d target columns"
-            (Array.length row_values) (Array.length positions);
-        let values = Array.make (Schema.arity schema) Value.Null in
-        Array.iteri (fun i v -> values.(positions.(i)) <- v) row_values;
-        values
-      in
-      let lower = Planner.lower_expr_for_table (pctx s) schema in
-      let eval_row row_exprs =
-        (* VALUES rows cannot reference columns *)
-        Array.of_list
-          (List.map (fun e -> Expr.eval env empty_row (lower e)) row_exprs)
-      in
-      let batchable =
-        (not (has_insert_trigger s tbl))
-        && (not (self_referencing_fk tbl))
-        && (match i_select with
-           | Some _ ->
-               (* the SELECT is fully materialized before any insert on
-                  both paths, so batching cannot change what it reads *)
-               true
-           | None -> List.for_all (List.for_all pure_values_expr) i_rows)
-      in
-      if batchable then begin
-        let rows =
-          match i_select with
-          | Some sel ->
-              let plan, _names = Planner.plan_select (pctx s) sel in
-              audit_declassify s plan;
-              List.map
-                (fun row -> widen (Tuple.values row))
-                (Executor.run_list (exec_ctx s) plan)
-          | None -> List.map (fun row_exprs -> widen (eval_row row_exprs)) i_rows
-        in
-        (* one interning per statement: no trigger can move the session
-           label mid-statement on this path *)
-        let label, label_id =
-          interned_label s (Label.union (session_write_label s) view_label)
-        in
-        let tuples =
-          List.map
-            (fun values -> Tuple.make_interned ~values ~label ~label_id)
-            rows
-        in
-        if tuples <> [] then insert_tuples_batch s txn tbl tuples ~declared;
-        Affected (List.length tuples)
-      end
-      else begin
-        let n = ref 0 in
-        let insert_values row_values =
-          let values = widen row_values in
-          let label, label_id =
-            interned_label s (Label.union (session_write_label s) view_label)
-          in
-          let tuple = Tuple.make_interned ~values ~label ~label_id in
-          insert_tuple s txn tbl tuple ~declared;
-          incr n
-        in
-        (match i_select with
-        | Some sel ->
-            (* INSERT … SELECT: rows are read under Query by Label, then
-               written with the session's current label like any insert *)
-            let plan, _names = Planner.plan_select (pctx s) sel in
-            audit_declassify s plan;
-            List.iter
-              (fun row -> insert_values (Tuple.values row))
-              (Executor.run_list (exec_ctx s) plan)
-        | None ->
-            List.iter
-              (fun row_exprs -> insert_values (eval_row row_exprs))
-              i_rows);
-        Affected !n
-      end
-  | _ -> assert false
+(* --- DML plans -------------------------------------------------------
 
-let exec_update s txn u_table u_sets u_where =
-  let tbl = Catalog.table s.sdb.cat u_table in
+   One function builds each DML plan.  The plan cache keeps what it
+   returns for a prepared statement, and the uncached path (literal SQL,
+   [exec_stmt]) calls it on every execution.  A plan holds only what the
+   statement text and the catalog decide: lowered expressions, column
+   positions, the access path and a view target's base table.  The Write
+   Rule, DECLASSIFYING authority, label constraints, uniqueness on
+   changed keys, Foreign Key checks, trigger lookup and label interning
+   stay per execution or per row. *)
+
+(* The predicate and the index prefix that finds an UPDATE's or
+   DELETE's rows. *)
+let plan_target tbl lower where =
+  let pred = Option.map lower where in
+  let access =
+    match Option.map (Planner.best_prefix tbl) pred with
+    | Some (Some (index, prefix, range)) ->
+        let ix =
+          List.find
+            (fun i -> String.equal i.Catalog.idx_name index)
+            tbl.Catalog.tbl_indexes
+        in
+        By_index { ix; ix_prefix = prefix; ix_range = range }
+    | Some None | None -> By_scan
+  in
+  { dt_tbl = tbl; dt_pred = pred; dt_access = access }
+
+let plan_update s ~table ~sets ~where =
+  let tbl = Catalog.table s.sdb.cat table in
   let schema = tbl.Catalog.tbl_schema in
   let lower = Planner.lower_expr_for_table (pctx s) schema in
-  let pred = Option.map lower u_where in
+  let target = plan_target tbl lower where in
   let sets =
     List.map
       (fun (col, e) ->
         match Schema.col_index_opt schema col with
         | Some i -> (i, lower e)
-        | None -> Errors.sql "column %s of %s does not exist" col u_table)
-      u_sets
+        | None -> Errors.sql "column %s of %s does not exist" col table)
+      sets
   in
-  let targets = dml_targets s txn tbl pred in
+  let unique_cols =
+    List.concat_map
+      (fun idx ->
+        if idx.Catalog.idx_unique then Array.to_list idx.Catalog.idx_cols
+        else [])
+      tbl.Catalog.tbl_indexes
+  in
+  {
+    up_target = target;
+    up_sets = sets;
+    up_unique_sets =
+      Array.of_list
+        (List.filter_map
+           (fun (i, _) -> if List.mem i unique_cols then Some i else None)
+           sets);
+  }
+
+let plan_delete s ~table ~where =
+  let tbl = Catalog.table s.sdb.cat table in
+  plan_target tbl
+    (Planner.lower_expr_for_table (pctx s) tbl.Catalog.tbl_schema)
+    where
+
+let plan_insert s ~table ~columns ~rows ~select ~declassifying =
+  let tbl, columns, view_label = resolve_insert_target s table columns in
+  let schema = tbl.Catalog.tbl_schema in
+  let positions =
+    match columns with
+    | None -> Array.init (Schema.arity schema) Fun.id
+    | Some cols ->
+        Array.of_list
+          (List.map
+             (fun c ->
+               match Schema.col_index_opt schema c with
+               | Some i -> i
+               | None -> Errors.sql "column %s of %s does not exist" c table)
+             cols)
+  in
+  let pc = pctx s in
+  (* VALUES rows cannot reference columns *)
+  let lower = Planner.lower_expr_for_table pc schema in
+  let lowered = List.map (List.map lower) rows in
+  let select_plan =
+    Option.map (fun sel -> fst (Planner.plan_select pc sel)) select
+  in
+  {
+    ip_tbl = tbl;
+    ip_view_label = view_label;
+    ip_positions = positions;
+    ip_rows = lowered;
+    ip_select = select_plan;
+    ip_batchable =
+      (not (self_referencing_fk tbl))
+      && (match select with
+         | Some _ ->
+             (* the SELECT is fully materialized before any insert on
+                both paths, so batching cannot change what it reads *)
+             true
+         | None -> List.for_all (List.for_all pure_values_expr) rows);
+    ip_declassifying = declassifying;
+  }
+
+(* The visible, confined rows matching an UPDATE's or DELETE's
+   predicate, via its index prefix when it has one. *)
+let dml_targets s dt =
+  let heap = dt.dt_tbl.Catalog.tbl_heap in
+  let env = fenv s in
+  let source =
+    match dt.dt_access with
+    | By_index { ix; ix_prefix; ix_range } ->
+        (* prefix keys and range bounds are expressions (they may be
+           [$n] parameters); evaluate them against the empty row.  A
+           NULL key component matches nothing: the bound derives from an
+           equality/comparison conjunct of the predicate. *)
+        let one_row = Tuple.make ~values:[||] ~label:Label.empty in
+        let key = Array.map (fun e -> Expr.eval env one_row e) ix_prefix in
+        let bound =
+          Option.map (fun (e, incl) -> (Expr.eval env one_row e, incl))
+        in
+        let lo, hi =
+          match ix_range with
+          | None -> (None, None)
+          | Some (l, h) -> (bound l, bound h)
+        in
+        let null_bound = function
+          | Some (v, _) -> Value.is_null v
+          | None -> false
+        in
+        if Array.exists Value.is_null key || null_bound lo || null_bound hi
+        then Seq.empty
+        else
+          index_versions s ~heap ~idx:ix ~prefix:key ~lo ~hi
+            ~extra:Label.empty
+    | By_scan -> scan_versions s ~heap ~extra:Label.empty
+  in
+  List.of_seq
+    (match dt.dt_pred with
+    | None -> source
+    | Some p -> Seq.filter (fun v -> Expr.eval_pred env v.Heap.tuple p) source)
+
+let exec_insert s txn ip =
+  let tbl = ip.ip_tbl in
+  let declared = resolve_declared_tags s ip.ip_declassifying in
+  let env = fenv s in
+  let empty_row = Tuple.make ~values:[||] ~label:Label.empty in
+  let positions = ip.ip_positions in
+  let arity = Schema.arity tbl.Catalog.tbl_schema in
+  let widen row_values =
+    if Array.length row_values <> Array.length positions then
+      Errors.sql "INSERT has %d expressions but %d target columns"
+        (Array.length row_values) (Array.length positions);
+    let values = Array.make arity Value.Null in
+    Array.iteri (fun i v -> values.(positions.(i)) <- v) row_values;
+    values
+  in
+  let eval_row row_exprs =
+    Array.of_list (List.map (fun e -> Expr.eval env empty_row e) row_exprs)
+  in
+  (* INSERT … SELECT: rows are read under Query by Label, then written
+     with the session's current label like any insert *)
+  let selected plan =
+    audit_declassify s plan;
+    Executor.run_list (exec_ctx s) plan
+  in
+  if ip.ip_batchable && not (has_insert_trigger s tbl) then begin
+    let rows =
+      match ip.ip_select with
+      | Some plan ->
+          List.map (fun row -> widen (Tuple.values row)) (selected plan)
+      | None ->
+          List.map (fun row_exprs -> widen (eval_row row_exprs)) ip.ip_rows
+    in
+    (* one interning per statement: no trigger can move the session
+       label mid-statement on this path *)
+    let label, label_id =
+      interned_label s (Label.union (session_write_label s) ip.ip_view_label)
+    in
+    let tuples =
+      List.map (fun values -> Tuple.make_interned ~values ~label ~label_id) rows
+    in
+    if tuples <> [] then insert_tuples_batch s txn tbl tuples ~declared;
+    Affected (List.length tuples)
+  end
+  else begin
+    let n = ref 0 in
+    let insert_values row_values =
+      let values = widen row_values in
+      let label, label_id =
+        interned_label s (Label.union (session_write_label s) ip.ip_view_label)
+      in
+      let tuple = Tuple.make_interned ~values ~label ~label_id in
+      insert_tuple s txn tbl tuple ~declared;
+      incr n
+    in
+    (match ip.ip_select with
+    | Some plan ->
+        List.iter (fun row -> insert_values (Tuple.values row)) (selected plan)
+    | None ->
+        List.iter
+          (fun row_exprs -> insert_values (eval_row row_exprs))
+          ip.ip_rows);
+    Affected !n
+  end
+
+let exec_update s txn up =
+  let tbl = up.up_target.dt_tbl in
+  let table = tbl.Catalog.tbl_schema.Schema.table_name in
+  let targets = dml_targets s up.up_target in
   let env = fenv s in
   List.iter
     (fun (v : Heap.version) ->
       check_write_rule s v "UPDATE";
       let old_tuple = v.Heap.tuple in
-      let values = Array.copy (Tuple.values old_tuple) in
-      List.iter (fun (i, e) -> values.(i) <- Expr.eval env old_tuple e) sets;
+      let old_values = Tuple.values old_tuple in
+      let values = Array.copy old_values in
+      List.iter
+        (fun (i, e) -> values.(i) <- Expr.eval env old_tuple e)
+        up.up_sets;
       let wlabel, wlid = interned_label s (session_write_label s) in
       let new_tuple = Tuple.make_interned ~values ~label:wlabel ~label_id:wlid in
       check_schema tbl values;
@@ -1695,29 +1805,34 @@ let exec_update s txn u_table u_sets u_where =
       (* supersede the old version first so the uniqueness probe does
          not see it *)
       Manager.record_delete s.sdb.mgr txn tbl.Catalog.tbl_heap v;
-      check_uniques s txn tbl values (Tuple.label new_tuple)
-        (Tuple.label_id new_tuple);
+      (* a new version equal to the old one on every unique-indexed
+         column, under the same label id, takes over the old one's
+         (key, label) identity and cannot add a duplicate: only a
+         changed identity is probed *)
+      if
+        wlid <> Tuple.label_id old_tuple
+        || Array.exists
+             (fun i -> Value.compare values.(i) old_values.(i) <> 0)
+             up.up_unique_sets
+      then check_uniques s txn tbl values wlabel wlid;
       check_foreign_keys s txn tbl new_tuple ~declared:Label.empty;
       let nv = Manager.record_insert s.sdb.mgr txn tbl.Catalog.tbl_heap new_tuple in
-      Catalog.insert_into_indexes s.sdb.cat tbl values
-        ~lid:(Tuple.label_id new_tuple) nv.Heap.vid;
-      fire_triggers s ~table:u_table ~kind:`Update ~old_:(Some old_tuple)
+      Catalog.insert_into_indexes s.sdb.cat tbl values ~lid:wlid nv.Heap.vid;
+      fire_triggers s ~table ~kind:`Update ~old_:(Some old_tuple)
         ~new_:(Some new_tuple))
     targets;
   Affected (List.length targets)
 
-let exec_delete s txn d_table d_where =
-  let tbl = Catalog.table s.sdb.cat d_table in
-  let schema = tbl.Catalog.tbl_schema in
-  let pred = Option.map (Planner.lower_expr_for_table (pctx s) schema) d_where in
-  let targets = dml_targets s txn tbl pred in
+let exec_delete s txn dt =
+  let tbl = dt.dt_tbl in
+  let targets = dml_targets s dt in
   List.iter
     (fun (v : Heap.version) ->
       check_write_rule s v "DELETE";
       check_reverse_foreign_keys s txn tbl v;
       Manager.record_delete s.sdb.mgr txn tbl.Catalog.tbl_heap v;
-      fire_triggers s ~table:d_table ~kind:`Delete ~old_:(Some v.Heap.tuple)
-        ~new_:None)
+      fire_triggers s ~table:tbl.Catalog.tbl_schema.Schema.table_name
+        ~kind:`Delete ~old_:(Some v.Heap.tuple) ~new_:None)
     targets;
   Affected (List.length targets)
 
@@ -1889,7 +2004,8 @@ let make_stmt_cache ?lock (stmt : A.stmt) ~diags ~stamp =
     sc_nparams = A.max_param stmt;
     sc_cacheable =
       (match stmt with
-      | A.S_select _ -> not (A.has_expr_subquery stmt)
+      | A.S_select _ | A.S_insert _ | A.S_update _ | A.S_delete _ ->
+          not (A.has_expr_subquery stmt)
       | _ -> false);
     sc_diags = diags;
     sc_stamp = stamp;
@@ -1898,12 +2014,35 @@ let make_stmt_cache ?lock (stmt : A.stmt) ~diags ~stamp =
     sc_lock = lock;
   }
 
-(* Fetch (or build) the plan for a cached SELECT under the current
+(* Plan a SELECT or DML statement: the one function behind the cached
+   and the uncached paths. *)
+let plan_stmt s (stmt : A.stmt) : stmt_plan =
+  match stmt with
+  | A.S_select sel ->
+      let plan, columns = Planner.plan_select (pctx s) sel in
+      Select_plan (plan, columns)
+  | A.S_update { u_table; u_sets; u_where } ->
+      Update_plan (plan_update s ~table:u_table ~sets:u_sets ~where:u_where)
+  | A.S_delete { d_table; d_where } ->
+      Delete_plan (plan_delete s ~table:d_table ~where:d_where)
+  | A.S_insert { i_table; i_columns; i_rows; i_select; i_declassifying } ->
+      Insert_plan
+        (plan_insert s ~table:i_table ~columns:i_columns ~rows:i_rows
+           ~select:i_select ~declassifying:i_declassifying)
+  | _ -> invalid_arg "Database.plan_stmt: not a SELECT or DML statement"
+
+let select_of = function
+  | Select_plan (plan, columns) -> (plan, columns)
+  | Update_plan _ | Delete_plan _ | Insert_plan _ ->
+      invalid_arg "Database.select_of: not a SELECT plan"
+
+(* Fetch (or build) the plan for a cached statement under the current
    session label.  A stale stamp — any DDL, or any authority mutation
    (delegation, revocation, tag mint) — discards the entry and re-plans:
-   view expansion and label-literal resolution may have changed.
-   Returns whether the plan came from the cache. *)
-let cached_plan s sc (sel : A.select) : Plan.t * string list * bool =
+   view expansion, table records, index choice and label-literal
+   resolution may have changed.  Returns whether the plan came from the
+   cache. *)
+let cached_plan s sc : stmt_plan * bool =
   let db = s.sdb in
   let lid = session_label_id s in
   let cat_v = Catalog.version db.cat in
@@ -1924,26 +2063,29 @@ let cached_plan s sc (sel : A.select) : Plan.t * string list * bool =
   | Some pe ->
       Metrics.incr db.mx.mx_pc_hits;
       Span.note "plan_cache" "hit";
-      (pe.pe_plan, pe.pe_columns, true)
+      (pe.pe_plan, true)
   | None ->
       Metrics.incr db.mx.mx_pc_misses;
       Span.note "plan_cache" "miss";
-      let plan, columns = Planner.plan_select (pctx s) sel in
+      let plan = plan_stmt s sc.sc_stmt in
       with_cache_lock sc (fun () ->
           Hashtbl.replace sc.sc_plans lid
-            {
-              pe_plan = plan;
-              pe_columns = columns;
-              pe_cat_version = cat_v;
-              pe_generation = gen;
-            });
-      (plan, columns, false)
+            { pe_plan = plan; pe_cat_version = cat_v; pe_generation = gen });
+      (plan, false)
+
+(* The plan [stmt] runs under: its cache entry's when it has one that
+   may keep a plan, else a fresh one. *)
+let plan_for ?cache s stmt =
+  match cache with
+  | Some sc when sc.sc_cacheable -> fst (cached_plan s sc)
+  | _ -> plan_stmt s stmt
 
 (* The implicit cache: [exec] keys cached statements on the trimmed raw
    text clients send, with a bounded canonical-text table behind it.
    Only parameter-free SELECTs are admitted — their plans re-serve
-   verbatim; everything else re-plans anyway, so caching the parse
-   alone is not worth a shared-table entry. *)
+   verbatim.  DML stays out: a literal DML text embeds the values it
+   writes, which change per call, so its entry would almost never be
+   reused. *)
 let implicit_cache_cap = 512
 
 let implicit_cache_find db key =
@@ -2009,7 +2151,8 @@ let explain_analyze_select s sel : string list * result =
       let plan, columns, notes =
         match implicit_cache_admit db (Printer.stmt_to_string stmt) stmt with
         | Some sc when sc.sc_cacheable ->
-            let plan, columns, hit = cached_plan s sc sel in
+            let plan, hit = cached_plan s sc in
+            let plan, columns = select_of plan in
             (plan, columns,
              [ Printf.sprintf "plan cache: %s" (if hit then "hit" else "miss") ])
         | _ ->
@@ -2100,15 +2243,19 @@ let exec_explain s ~analyze stmt =
   | _ -> Errors.sql "EXPLAIN supports only SELECT statements"
 
 (* Evaluate an EXECUTE argument: a constant expression (label literals
-   included), evaluated against the empty row.  Placeholders cannot
-   appear in argument position. *)
+   included), evaluated against the empty row.  A constant, which is
+   what every [execute_prepared] argument is, binds as its value.
+   Placeholders cannot appear in argument position. *)
 let eval_param_arg s (e : A.expr) : Value.t =
-  let lowered =
-    Planner.lower_expr_for_table (pctx s)
-      (Schema.make ~name:"_args" ~columns:[] ())
-      e
-  in
-  Expr.eval (fenv s) (Tuple.make ~values:[||] ~label:Label.empty) lowered
+  match e with
+  | A.E_const v -> v
+  | _ ->
+      let lowered =
+        Planner.lower_expr_for_table (pctx s)
+          (Schema.make ~name:"_args" ~columns:[] ())
+          e
+      in
+      Expr.eval (fenv s) (Tuple.make ~values:[||] ~label:Label.empty) lowered
 
 let rec exec_stmt ?cache s (stmt : A.stmt) : result =
   match stmt with
@@ -2140,15 +2287,10 @@ let rec exec_stmt ?cache s (stmt : A.stmt) : result =
       | Some txn ->
           do_abort s txn;
           Done "ROLLBACK")
-  | A.S_select sel ->
+  | A.S_select _ ->
       in_statement_txn s (fun _txn ->
           let plan, columns =
-            Span.timed "plan" (fun () ->
-                match cache with
-                | Some sc when sc.sc_cacheable ->
-                    let plan, columns, _hit = cached_plan s sc sel in
-                    (plan, columns)
-                | _ -> Planner.plan_select (pctx s) sel)
+            Span.timed "plan" (fun () -> select_of (plan_for ?cache s stmt))
           in
           audit_declassify s plan;
           let tuples =
@@ -2156,15 +2298,16 @@ let rec exec_stmt ?cache s (stmt : A.stmt) : result =
           in
           Rows { columns; tuples })
   | A.S_explain { x_analyze; x_stmt } -> exec_explain s ~analyze:x_analyze x_stmt
-  | A.S_insert _ ->
+  | A.S_insert _ | A.S_update _ | A.S_delete _ ->
+      (* a DML statement fetches its plan inside its execute span: the
+         plan span times SELECT planning only *)
       in_statement_txn s (fun txn ->
-          Span.timed "execute" (fun () -> exec_insert s txn stmt))
-  | A.S_update { u_table; u_sets; u_where } ->
-      in_statement_txn s (fun txn ->
-          Span.timed "execute" (fun () -> exec_update s txn u_table u_sets u_where))
-  | A.S_delete { d_table; d_where } ->
-      in_statement_txn s (fun txn ->
-          Span.timed "execute" (fun () -> exec_delete s txn d_table d_where))
+          Span.timed "execute" (fun () ->
+              match plan_for ?cache s stmt with
+              | Insert_plan ip -> exec_insert s txn ip
+              | Update_plan up -> exec_update s txn up
+              | Delete_plan dt -> exec_delete s txn dt
+              | Select_plan _ -> assert false))
   | A.S_create_table { ct_name; ct_columns; ct_constraints } ->
       let schema = schema_of_create (ct_name, ct_columns, ct_constraints) in
       (* referenced tables must exist *)

@@ -259,16 +259,25 @@ val insert_returning_count : session -> string -> int
     [PREPARE name AS <stmt>] parses, analyzes and registers a statement
     once per session; [$n] placeholders (1-based) mark parameter slots.
     [EXECUTE name (args…)] binds arguments positionally and runs it —
-    SELECT bodies without expression-position subqueries execute from a
-    cached parameterized plan (one per session-label id, stamped with
-    the catalog version and authority generation).  [DEALLOCATE name] /
+    SELECT, INSERT, UPDATE and DELETE bodies without expression-position
+    subqueries execute from a cached parameterized plan (one per
+    session-label id, stamped with the catalog version and authority
+    generation).  [DEALLOCATE name] /
     [DEALLOCATE ALL] drop registrations.  The audit log and slow-query
     log render executions as [EXECUTE name AS <body>] with the
     placeholders intact — bound values never appear there. *)
 
 val execute_prepared : session -> string -> Value.t list -> result
 (** Programmatic [EXECUTE]: bind [args] (positionally, as values) and
-    run the named prepared statement. *)
+    run the named prepared statement.  The values bind as they are, and
+    a body with a cached plan is neither lowered nor planned again: a
+    DML plan keeps its lowered expressions, column positions, access
+    path and (for INSERT) resolved target table.  The Write Rule,
+    DECLASSIFYING authority, label constraints, uniqueness, Foreign Key
+    checks and the insert-trigger lookup still run on every call; an
+    UPDATE whose new version keeps every unique-indexed column and its
+    label id skips only the uniqueness probe, since it takes over the
+    old version's (key, label) identity. *)
 
 type prepared_info = {
   pi_name : string;

@@ -155,7 +155,8 @@ let insert t k vid =
    splits into several near-equal chunks at once (a "multi-split"),
    with the extra (separator, sibling) pairs propagated up in one pass.
    The result is observably identical to inserting each pair with
-   {!insert} in run order. *)
+   {!insert} in run order.  A one-pair run is that reference itself:
+   it takes {!insert}'s in-place path, which rebuilds no node. *)
 
 (* Near-equal chunk sizes, each <= order (and >= order/2 when the total
    exceeds order, keeping nodes respectably full). *)
@@ -180,7 +181,7 @@ let take_chunks xs sizes =
   in
   go xs sizes
 
-let insert_many t pairs =
+let bulk_load t pairs =
   if pairs <> [] then begin
     (* stable sort on the key alone: vids keep their run order within a
        key, so the prepend fold below builds exactly the postings list
@@ -367,6 +368,11 @@ let insert_many t pairs =
     grow (bulk t.root groups);
     t.entries <- t.entries + !added
   end
+
+let insert_many t pairs =
+  match pairs with
+  | [ (k, vid) ] -> insert t k vid
+  | _ -> bulk_load t pairs
 
 let rec find_leaf node k =
   match node with

@@ -33,7 +33,9 @@ val insert_many : t -> (key * int) list -> unit
     leaves by sorted merge and splitting overfull nodes into several
     siblings in one pass.  Observably equivalent to {!insert} applied
     to each pair in run order (same postings, same iteration order,
-    same {!entry_count}); duplicates are ignored likewise. *)
+    same {!entry_count}); duplicates are ignored likewise.  A one-pair
+    run is {!insert} itself: it changes the leaf in place and rebuilds
+    no node, where a longer run rebuilds every node on its paths. *)
 
 val remove : t -> key -> int -> unit
 (** Remove one posting (no-op if absent). *)

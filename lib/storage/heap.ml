@@ -23,11 +23,23 @@ type partition = {
   mutable p_pages : int;
 }
 
+(* The one value a vacuumed or not-yet-used slot holds, so [slots] stores
+   versions unboxed.  Compared physically; never handed out, and its
+   mutable fields are never written. *)
+let hole =
+  {
+    vid = -1;
+    tuple = Ifdb_rel.Tuple.make ~values:[||] ~label:Ifdb_difc.Label.empty;
+    xmin = 0;
+    xmax = 0;
+    page = -1;
+  }
+
 type t = {
   heap_name : string;
   labeled : bool;
   bp : Buffer_pool.t;
-  mutable slots : version option array;
+  mutable slots : version array; (* [hole] where no version lives *)
   mutable len : int;
   mutable pages : int;
   (* label-id partition directory, keyed by interned label id (-1
@@ -50,7 +62,7 @@ let create ~name ~labeled ~pool () =
     heap_name = name;
     labeled;
     bp = pool;
-    slots = Array.make 64 None;
+    slots = Array.make 64 hole;
     len = 0;
     pages = 0;
     parts = Hashtbl.create 8;
@@ -133,7 +145,7 @@ let tuple_bytes t tuple =
 
 let grow t =
   if t.len >= Array.length t.slots then begin
-    let bigger = Array.make (2 * Array.length t.slots) None in
+    let bigger = Array.make (2 * Array.length t.slots) hole in
     Array.blit t.slots 0 bigger 0 t.len;
     t.slots <- bigger
   end
@@ -155,7 +167,7 @@ let insert t ~xmin tuple =
   p.p_page_used <- p.p_page_used + bytes + Page.item_overhead;
   grow t;
   let v = { vid = t.len; tuple; xmin; xmax = 0; page = p.p_current_page } in
-  t.slots.(t.len) <- Some v;
+  t.slots.(t.len) <- v;
   t.len <- t.len + 1;
   if p.p_len >= Array.length p.p_vids then begin
     let bigger = Array.make (2 * Array.length p.p_vids) 0 in
@@ -172,11 +184,12 @@ let insert t ~xmin tuple =
 let get_opt t vid =
   if vid < 0 || vid >= t.len then None
   else
-    match t.slots.(vid) with
-    | None -> None
-    | Some v ->
-        Buffer_pool.touch t.bp v.page;
-        Some v
+    let v = t.slots.(vid) in
+    if v == hole then None
+    else begin
+      Buffer_pool.touch t.bp v.page;
+      Some v
+    end
 
 let get t vid =
   match get_opt t vid with
@@ -191,23 +204,23 @@ let set_xmax t ~vid ~xid =
   Buffer_pool.dirty t.bp v.page
 
 let clear_xmax t ~vid ~xid =
-  match t.slots.(vid) with
-  | Some v when v.xmax = xid ->
-      v.xmax <- 0;
-      Buffer_pool.dirty t.bp v.page
-  | Some _ | None -> ()
+  let v = t.slots.(vid) in
+  if v != hole && v.xmax = xid then begin
+    v.xmax <- 0;
+    Buffer_pool.dirty t.bp v.page
+  end
 
 let iter t f =
   let last_page = ref (-1) in
   for i = 0 to t.len - 1 do
-    match t.slots.(i) with
-    | None -> ()
-    | Some v ->
-        if v.page <> !last_page then begin
-          Buffer_pool.touch t.bp v.page;
-          last_page := v.page
-        end;
-        f v
+    let v = t.slots.(i) in
+    if v != hole then begin
+      if v.page <> !last_page then begin
+        Buffer_pool.touch t.bp v.page;
+        last_page := v.page
+      end;
+      f v
+    end
   done
 
 let slot_count t = t.len
@@ -215,21 +228,22 @@ let slot_count t = t.len
 let version_count t =
   let n = ref 0 in
   for i = 0 to t.len - 1 do
-    if t.slots.(i) <> None then incr n
+    if t.slots.(i) != hole then incr n
   done;
   !n
 
 let page_count t = t.pages
 
 let reclaim t vid =
-  if vid >= 0 && vid < t.len then
-    match t.slots.(vid) with
-    | None -> ()
-    | Some v -> (
-        t.slots.(vid) <- None;
-        match Hashtbl.find_opt t.parts (Ifdb_rel.Tuple.label_id v.tuple) with
-        | Some p -> p.p_count <- p.p_count - 1
-        | None -> ())
+  if vid >= 0 && vid < t.len then begin
+    let v = t.slots.(vid) in
+    if v != hole then begin
+      t.slots.(vid) <- hole;
+      match Hashtbl.find_opt t.parts (Ifdb_rel.Tuple.label_id v.tuple) with
+      | Some p -> p.p_count <- p.p_count - 1
+      | None -> ()
+    end
+  end
 
 let vacuum_retired t ~dead ~on_reclaim =
   (* take the queue and start a fresh small one: a burst of retirements
@@ -246,29 +260,30 @@ let vacuum_retired t ~dead ~on_reclaim =
   let lo = ref max_int and hi = ref (-1) in
   Array.iter
     (fun vid ->
-      match t.slots.(vid) with
-      | Some v ->
-          if v.page < !lo then lo := v.page;
-          if v.page > !hi then hi := v.page
-      | None -> ())
+      let v = t.slots.(vid) in
+      if v != hole then begin
+        if v.page < !lo then lo := v.page;
+        if v.page > !hi then hi := v.page
+      end)
     vids;
   let seen = Bytes.make (max 0 (!hi - !lo + 1)) '\000' in
   let removed = ref 0 and kept = ref [] in
   Array.iter
     (fun vid ->
-      match t.slots.(vid) with
-      | None -> () (* queued twice and already reclaimed *)
-      | Some v ->
-          if Bytes.get seen (v.page - !lo) = '\000' then begin
-            Bytes.set seen (v.page - !lo) '\001';
-            Buffer_pool.touch t.bp v.page
-          end;
-          if dead v then begin
-            on_reclaim v;
-            reclaim t vid;
-            incr removed
-          end
-          else kept := vid :: !kept)
+      let v = t.slots.(vid) in
+      (* a hole was queued twice and already reclaimed *)
+      if v != hole then begin
+        if Bytes.get seen (v.page - !lo) = '\000' then begin
+          Bytes.set seen (v.page - !lo) '\001';
+          Buffer_pool.touch t.bp v.page
+        end;
+        if dead v then begin
+          on_reclaim v;
+          reclaim t vid;
+          incr removed
+        end
+        else kept := vid :: !kept
+      end)
     vids;
   if !kept <> [] then
     Mutex.protect t.retire_mu (fun () -> List.iter (queue_retired t) !kept);
@@ -279,14 +294,15 @@ let to_seq t =
   let rec from i () =
     if i >= t.len then Seq.Nil
     else
-      match t.slots.(i) with
-      | None -> from (i + 1) ()
-      | Some v ->
-          if v.page <> !last_page then begin
-            Buffer_pool.touch t.bp v.page;
-            last_page := v.page
-          end;
-          Seq.Cons (v, from (i + 1))
+      let v = t.slots.(i) in
+      if v == hole then from (i + 1) ()
+      else begin
+        if v.page <> !last_page then begin
+          Buffer_pool.touch t.bp v.page;
+          last_page := v.page
+        end;
+        Seq.Cons (v, from (i + 1))
+      end
   in
   from 0
 
@@ -413,24 +429,23 @@ let merge_next m =
     vid
   end
 
-(* the version at [vid], charging its page when the page changed; [None]
+(* the slot at [vid], charging its page when the page changed; [hole]
    for a slot vacuumed since its directory entry was appended *)
 let merge_fetch t m vid =
-  match t.slots.(vid) with
-  | None -> None
-  | Some v as slot ->
-      if v.page <> m.m_last_page then begin
-        Buffer_pool.touch t.bp v.page;
-        m.m_last_page <- v.page
-      end;
-      slot
+  let v = t.slots.(vid) in
+  if v != hole && v.page <> m.m_last_page then begin
+    Buffer_pool.touch t.bp v.page;
+    m.m_last_page <- v.page
+  end;
+  v
 
 let iter_merge_range t ~keep ~lo ~hi f =
   let m = merge_start t ~keep ~lo:(max 0 lo) ~hi:(min hi t.len) in
   let rec loop () =
     let vid = merge_next m in
     if vid >= 0 then begin
-      (match merge_fetch t m vid with Some v -> f v | None -> ());
+      let v = merge_fetch t m vid in
+      if v != hole then f v;
       loop ()
     end
   in
@@ -444,8 +459,7 @@ let seq_merge t ~keep : version Seq.t =
     let vid = merge_next m in
     if vid < 0 then Seq.Nil
     else
-      match merge_fetch t m vid with
-      | Some v -> Seq.Cons (v, next)
-      | None -> next ()
+      let v = merge_fetch t m vid in
+      if v == hole then next () else Seq.Cons (v, next)
   in
   next

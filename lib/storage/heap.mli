@@ -24,7 +24,12 @@
 
     {b Vacuum.}  Vacuum is driven the same way: a version is queued
     when it dies ({!retire_version}), and a pass visits only the queue
-    ({!vacuum_retired}). *)
+    ({!vacuum_retired}).
+
+    {b Slots.}  The vid-indexed slot array holds versions unboxed.  A
+    vacuumed or not-yet-used slot holds one shared sentinel, a hole,
+    which no function here returns: scans skip it, and {!get_opt}
+    answers [None] for it. *)
 
 type version = {
   vid : int;                (** stable version id within this heap *)
@@ -56,6 +61,7 @@ val get : t -> int -> version
     for dead or out-of-range ids. *)
 
 val get_opt : t -> int -> version option
+(** {!get} that answers [None] for a hole or an out-of-range id. *)
 
 val set_xmax : t -> vid:int -> xid:int -> unit
 (** Stamp a deleter (dirties the page). *)

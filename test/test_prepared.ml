@@ -41,13 +41,24 @@ let metric db name =
    EXECUTEs it with the bindings; the implicit replay sends each op's
    literal SQL through [Db.exec], which keys cached plans on the text;
    the uncached replay parses the literal itself and runs it through
-   [Db.exec_stmt], which never consults the cache. *)
+   [Db.exec_stmt], which never consults the cache.
+
+   Three op shapes target what a cached DML plan must not keep: a
+   key-changing UPDATE (its uniqueness probe stays), an admin step that
+   creates or drops an index on [v] (the plan's access path must follow
+   the catalog version), and an insert trigger created mid-trace (CREATE
+   TRIGGER does not move the catalog version, so trigger presence must be
+   read per execution). *)
 type op =
   | Insert of int * int * int  (* id, v, session label mask *)
   | Update of int * int * int  (* id, new v, session label mask *)
   | Delete of int * int        (* id, session label mask *)
   | Query of int               (* reader label mask *)
   | Query_from of int * int    (* lower id bound, reader label mask *)
+  | Rekey of int * int * int   (* old id, new id, session label mask *)
+  | Delete_v of int * int      (* v, session label mask *)
+  | Index_v of bool            (* admin: create (true) or drop the index on v *)
+  | Trigger                    (* admin: create the insert trigger *)
 
 let pp_op = function
   | Insert (id, v, m) -> Printf.sprintf "Insert(%d,%d,%d)" id v m
@@ -55,6 +66,10 @@ let pp_op = function
   | Delete (id, m) -> Printf.sprintf "Delete(%d,%d)" id m
   | Query m -> Printf.sprintf "Query(%d)" m
   | Query_from (lo, m) -> Printf.sprintf "QueryFrom(%d,%d)" lo m
+  | Rekey (id, id', m) -> Printf.sprintf "Rekey(%d,%d,%d)" id id' m
+  | Delete_v (v, m) -> Printf.sprintf "DeleteV(%d,%d)" v m
+  | Index_v on -> Printf.sprintf "IndexV(%b)" on
+  | Trigger -> "Trigger"
 
 let gen_op =
   QCheck.Gen.(
@@ -66,9 +81,42 @@ let gen_op =
         (2, map2 (fun i m -> Delete (i, m)) id mask);
         (2, map (fun m -> Query m) mask);
         (2, map2 (fun lo m -> Query_from (lo, m)) id mask);
+        (2, map3 (fun i i' m -> Rekey (i, i', m)) id id mask);
+        (2, map2 (fun x m -> Delete_v (x, m)) v mask);
+        (1, map (fun on -> Index_v on) bool);
+        (1, return Trigger);
       ])
 
-let gen_trace = QCheck.Gen.(list_size (int_range 5 30) gen_op)
+(* Mostly single ops, and now and then one of two blocks that random
+   ops rarely line up:
+   - two ids inserted under one label, then one re-keyed onto the
+     other, which the uniqueness probe must refuse;
+   - a [v] lookup planned while the index on [v] exists, the index
+     dropped, a row inserted, and the lookup run again: a plan that kept
+     the dropped index would miss the new row. *)
+let gen_trace =
+  QCheck.Gen.(
+    let id = int_bound 7 and v = int_bound 9 and mask = int_bound 3 in
+    let collision =
+      map3
+        (fun a b m -> [ Insert (a, 0, m); Insert (b, 1, m); Rekey (b, a, m) ])
+        id id mask
+    in
+    let reindex =
+      map3
+        (fun a x m ->
+          [ Index_v true; Delete_v (x, m); Index_v false; Insert (a, x, m);
+            Delete_v (x, m) ])
+        id v mask
+    in
+    map List.concat
+      (list_size (int_range 5 30)
+         (frequency
+            [
+              (12, map (fun op -> [ op ]) gen_op);
+              (1, collision);
+              (1, reindex);
+            ])))
 
 type outcome =
   | Rows of (string list * string) list
@@ -91,6 +139,9 @@ let templates =
     ("del", "DELETE FROM t WHERE id = $1");
     ("sel", "SELECT id, v FROM t ORDER BY id, v");
     ("sel_from", "SELECT id, v FROM t WHERE id >= $1 ORDER BY id, v");
+    ("rekey", "UPDATE t SET id = $1 WHERE id = $2");
+    ("del_v", "DELETE FROM t WHERE v = $1");
+    ("sel_log", "SELECT id, v FROM log ORDER BY id, v");
   ]
 
 type mode = Prepared | Implicit | Uncached
@@ -106,6 +157,7 @@ let replay mode ~parallelism ops =
   let ta = Db.create_tag os ~name:"ta" () in
   let tb = Db.create_tag os ~name:"tb" () in
   ignore (Db.exec admin "CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+  ignore (Db.exec admin "CREATE TABLE log (id INT, v INT)");
   let sessions =
     Array.init 4 (fun mask ->
         let s = Db.connect db ~principal:owner in
@@ -118,18 +170,26 @@ let replay mode ~parallelism ops =
             templates;
         s)
   in
-  let run mask name args literal =
-    let s = sessions.(mask) in
-    match
-      match mode with
-      | Prepared -> Db.execute_prepared s name args
-      | Implicit -> Db.exec s literal
-      | Uncached -> Db.exec_stmt s (Ifdb_sql.Parser.parse_one literal)
-    with
+  let outcome f =
+    match f () with
     | r -> to_outcome r
     | exception Errors.Flow_violation m -> Error ("flow: " ^ m)
     | exception Errors.Constraint_violation m -> Error ("constraint: " ^ m)
     | exception Errors.Sql_error m -> Error ("sql: " ^ m)
+  in
+  let run mask name args literal =
+    let s = sessions.(mask) in
+    outcome (fun () ->
+        match mode with
+        | Prepared -> Db.execute_prepared s name args
+        | Implicit -> Db.exec s literal
+        | Uncached -> Db.exec_stmt s (Ifdb_sql.Parser.parse_one literal))
+  in
+  let run_admin literal =
+    outcome (fun () ->
+        match mode with
+        | Prepared | Implicit -> Db.exec admin literal
+        | Uncached -> Db.exec_stmt admin (Ifdb_sql.Parser.parse_one literal))
   in
   let outcomes =
     List.map
@@ -150,13 +210,41 @@ let replay mode ~parallelism ops =
         | Query_from (lo, m) ->
             run m "sel_from" [ Value.Int lo ]
               (Printf.sprintf
-                 "SELECT id, v FROM t WHERE id >= %d ORDER BY id, v" lo))
+                 "SELECT id, v FROM t WHERE id >= %d ORDER BY id, v" lo)
+        | Rekey (id, id', m) ->
+            run m "rekey"
+              [ Value.Int id'; Value.Int id ]
+              (Printf.sprintf "UPDATE t SET id = %d WHERE id = %d" id' id)
+        | Delete_v (v, m) ->
+            run m "del_v" [ Value.Int v ]
+              (Printf.sprintf "DELETE FROM t WHERE v = %d" v)
+        | Index_v on ->
+            run_admin
+              (if on then "CREATE INDEX t_v ON t (v)" else "DROP INDEX t_v")
+        | Trigger ->
+            (* the body logs each inserted row, under the inserting
+               session's label *)
+            outcome (fun () ->
+                Db.create_trigger admin ~name:"t_log" ~table:"t"
+                  ~kinds:[ `Insert ] (fun s ev ->
+                    match ev.Db.ev_new with
+                    | Some row ->
+                        ignore
+                          (Db.exec s
+                             (Printf.sprintf "INSERT INTO log VALUES (%s, %s)"
+                                (Value.to_string (Tuple.get row 0))
+                                (Value.to_string (Tuple.get row 1))))
+                    | None -> ());
+                Db.Done "CREATE TRIGGER"))
       ops
   in
-  let final =
-    match run 3 "sel" [] "SELECT id, v FROM t ORDER BY id, v" with
+  let rows_of = function
     | Rows rows -> rows
     | Count _ | Error _ -> assert false
+  in
+  let final =
+    ( rows_of (run 3 "sel" [] "SELECT id, v FROM t ORDER BY id, v"),
+      rows_of (run 3 "sel_log" [] "SELECT id, v FROM log ORDER BY id, v") )
   in
   (* the statement text differs by design (EXECUTE ... AS ... vs the
      literal); who/what/which-tags must not *)
@@ -176,7 +264,15 @@ let replay mode ~parallelism ops =
   (outcomes, final, audit)
 
 let check_equivalence ~parallelism ops =
-  let reference = replay Uncached ~parallelism ops in
+  let ((_, (rows, _), _) as reference) = replay Uncached ~parallelism ops in
+  (* polyinstantiation: the table holds at most one row per (id, label) *)
+  let identities =
+    List.map (fun (values, label) -> (List.hd values, label)) rows
+  in
+  if List.length (List.sort_uniq compare identities) <> List.length identities
+  then
+    QCheck.Test.fail_reportf "duplicate (id, label) after@ [%s]"
+      (String.concat "; " (List.map pp_op ops));
   List.iter
     (fun (name, mode) ->
       if replay mode ~parallelism ops <> reference then
@@ -264,6 +360,31 @@ let test_invalidation_ddl () =
   ignore (Db.exec s "INSERT INTO t VALUES (4, 6)");
   Alcotest.(check int) "data changes need no invalidation" 2
     (count [ Value.Int 6 ])
+
+(* A prepared UPDATE's cached plan holds the table record, the column
+   positions of its SET list and predicate, and its index: dropping the
+   table and creating it again with the columns reordered must re-plan
+   it, or the update would write the dropped heap or the wrong column. *)
+let test_dml_plan_follows_recreated_table () =
+  let db = Db.create () in
+  let s = Db.connect_admin db in
+  ignore (Db.exec s "CREATE TABLE r (id INT PRIMARY KEY, a INT, b INT)");
+  ignore (Db.exec s "INSERT INTO r VALUES (1, 10, 20)");
+  ignore (Db.exec s "PREPARE set_a AS UPDATE r SET a = $1 WHERE id = $2");
+  ignore (Db.execute_prepared s "set_a" [ Value.Int 11; Value.Int 1 ]);
+  ignore (Db.execute_prepared s "set_a" [ Value.Int 12; Value.Int 1 ]);
+  let inval0 = metric db "ifdb_plan_cache_invalidations_total" in
+  ignore (Db.exec s "DROP TABLE r");
+  ignore (Db.exec s "CREATE TABLE r (b INT, id INT PRIMARY KEY, a INT)");
+  ignore (Db.exec s "INSERT INTO r VALUES (20, 1, 10)");
+  (match Db.execute_prepared s "set_a" [ Value.Int 99; Value.Int 1 ] with
+  | Db.Affected 1 -> ()
+  | _ -> Alcotest.fail "expected one updated row");
+  let row = Db.query_one s "SELECT b, id, a FROM r" in
+  Alcotest.(check (list string)) "only column a changed" [ "20"; "1"; "99" ]
+    (List.map Value.to_string (Array.to_list (Tuple.values row)));
+  Alcotest.(check bool) "stale plan invalidated" true
+    (metric db "ifdb_plan_cache_invalidations_total" > inval0)
 
 (* ------------------------------------------------------------------ *)
 (* Invalidation: delegation -> revocation flip between EXECUTEs        *)
@@ -424,6 +545,8 @@ let suites =
         Alcotest.test_case "statement lifecycle" `Quick test_lifecycle;
         Alcotest.test_case "DDL invalidates cached plans" `Quick
           test_invalidation_ddl;
+        Alcotest.test_case "DML plan follows a recreated table" `Quick
+          test_dml_plan_follows_recreated_table;
         Alcotest.test_case "delegation/revocation flip" `Quick
           test_invalidation_authority_flip;
         Alcotest.test_case "clearance change between EXECUTEs" `Quick

@@ -674,17 +674,35 @@ let test_btree_insert_many_basic () =
   Alcotest.(check int) "empty run is a no-op" (Btree.entry_count seq)
     (Btree.entry_count blk)
 
+(* Two shapes of (order, seed, run): long runs that multi-split a
+   shallow order-8 tree, and runs of 0-3 pairs into a deep order-4 tree
+   seeded with hundreds of repeated keys, so the pairs land in long
+   posting lists.  The second is what one-row INSERTs do, and the only
+   shape that reaches [insert_many]'s one-pair path often. *)
+let gen_insert_many_case =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 1,
+          map2
+            (fun seed run -> (8, seed, run))
+            (list_size (int_bound 120) (pair (int_bound 40) (int_bound 15)))
+            (list_size (int_bound 400) (pair (int_bound 40) (int_bound 15))) );
+        ( 2,
+          map2
+            (fun seed run -> (4, seed, run))
+            (list_size (int_range 200 600)
+               (pair (int_bound 60) (int_bound 100)))
+            (list_size (int_bound 3) (pair (int_bound 70) (int_bound 100))) );
+      ])
+
 let btree_insert_many_equiv_prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:100
        ~name:"insert_many = sequential inserts (contents & order)"
-       (QCheck.make
-          QCheck.Gen.(
-            pair
-              (list_size (int_bound 120) (pair (int_bound 40) (int_bound 15)))
-              (list_size (int_bound 400) (pair (int_bound 40) (int_bound 15)))))
-       (fun (seed, run) ->
-         let a = Btree.create ~order:8 () and b = Btree.create ~order:8 () in
+       (QCheck.make gen_insert_many_case)
+       (fun (order, seed, run) ->
+         let a = Btree.create ~order () and b = Btree.create ~order () in
          List.iter
            (fun (k, v) ->
              Btree.insert a (k1 k) v;
