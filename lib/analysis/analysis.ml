@@ -267,42 +267,6 @@ let total xs = List.fold_left (fun acc (_, n) -> acc + n) 0 xs
 let labels_str ctx xs =
   String.concat ", " (List.map (fun (l, _) -> lbl ctx l) xs)
 
-let interval_of_parts parts ~dst =
-  if parts.p_unknown > 0 then
-    Interval.range ~lo:Label.empty ~hi:(Interval.Finite dst)
-  else
-    match parts.p_visible with
-    | [] -> Interval.bottom
-    | (l0, _) :: rest ->
-        let lo = List.fold_left (fun acc (l, _) -> Label.inter acc l) l0 rest in
-        let hi = List.fold_left (fun acc (l, _) -> Label.union acc l) l0 rest in
-        Interval.range ~lo ~hi:(Interval.Finite hi)
-
-(* The declassifying-view label transform, mirroring the executor's
-   [strip]: drop tags covered by the declassify label, then apply the
-   relabeling view's (from, to) replacements. *)
-let strip ctx declassified relabel l =
-  let after =
-    List.filter
-      (fun tag -> not (Authority.covers ctx.an_auth declassified tag))
-      (Label.to_list l)
-  in
-  let replaced =
-    List.concat_map
-      (fun tag ->
-        match List.assoc_opt tag relabel with
-        | Some to_tag -> [ to_tag ]
-        | None -> [ tag ])
-      after
-  in
-  let additions =
-    List.filter_map
-      (fun (from_tag, to_tag) ->
-        if Label.mem from_tag l then Some to_tag else None)
-      relabel
-  in
-  Label.of_list (replaced @ additions)
-
 (* ------------------------------------------------------------------ *)
 (* AST utilities                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -381,9 +345,9 @@ let split_label_eqs (where : A.expr option) =
 (* SELECT analysis                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type sel_info = { si_interval : Interval.t; si_vacuous : bool }
-
-let rec analyze_select_acc ctx ~extra ~seen ~add (sel : A.select) : sel_info =
+(* Each analysis below returns whether its relation is provably
+   vacuous (returns no row), adding diagnostics as it goes. *)
+let rec analyze_select_acc ctx ~extra ~seen ~add (sel : A.select) : bool =
   let walk e = walk_expr_diags ctx ~extra ~seen ~add e in
   List.iter
     (function A.Sel_expr (e, _) -> walk e | A.Sel_star | A.Sel_table_star _ -> ())
@@ -392,9 +356,9 @@ let rec analyze_select_acc ctx ~extra ~seen ~add (sel : A.select) : sel_info =
   Option.iter walk sel.A.having;
   List.iter walk sel.A.group_by;
   List.iter (fun (e, _) -> walk e) sel.A.order_by;
-  let from_info =
+  let from_vacuous =
     match sel.A.from with
-    | None -> { si_interval = Interval.exact Label.empty; si_vacuous = false }
+    | None -> false
     | Some r -> analyze_ref ctx ~extra ~seen ~add r
   in
   let dst = Label.union ctx.an_label extra in
@@ -410,16 +374,16 @@ let rec analyze_select_acc ctx ~extra ~seen ~add (sel : A.select) : sel_info =
       (fun names -> Result.to_option (resolve_label ctx names))
       lits
   in
-  let vac_lit, itv =
+  let vac_lit =
     match lit_labels with
-    | [] -> (false, from_info.si_interval)
+    | [] -> false
     | l :: rest when not (List.for_all (Label.equal l) rest) ->
         add
           (Diag.warning Diag.Vacuous_query
              "contradictory _label equalities (%s) can match no row"
              (String.concat " vs "
                 (List.map (lbl ctx) (List.sort_uniq Label.compare lit_labels))));
-        (true, Interval.bottom)
+        true
     | l :: _ when scans_base_table ->
         if not (flows ctx ~src:l ~dst) then begin
           add
@@ -427,21 +391,17 @@ let rec analyze_select_acc ctx ~extra ~seen ~add (sel : A.select) : sel_info =
                "the _label = %s filter is invisible under the session label \
                 %s: the predicate can match no stored row"
                (lbl ctx l) (lbl ctx dst));
-          (true, Interval.bottom)
+          true
         end
-        else (false, Interval.meet from_info.si_interval (Interval.exact l))
-    | _ -> (false, from_info.si_interval)
+        else false
+    | _ -> false
   in
-  let vacuous = from_info.si_vacuous || vac_lit in
+  let vacuous = from_vacuous || vac_lit in
   let members =
     List.map (fun (_k, m) -> analyze_select_acc ctx ~extra ~seen ~add m)
       sel.A.unions
   in
-  {
-    si_interval =
-      List.fold_left (fun acc i -> Interval.join acc i.si_interval) itv members;
-    si_vacuous = List.fold_left (fun acc i -> acc && i.si_vacuous) vacuous members;
-  }
+  List.fold_left ( && ) vacuous members
 
 and walk_expr_diags ctx ~extra ~seen ~add e =
   walk_expr e
@@ -452,70 +412,65 @@ and walk_expr_diags ctx ~extra ~seen ~add e =
         names)
     ~subs:(fun s -> ignore (analyze_select_acc ctx ~extra ~seen ~add s))
 
-and analyze_ref ctx ~extra ~seen ~add (r : A.table_ref) : sel_info =
+and analyze_ref ctx ~extra ~seen ~add (r : A.table_ref) : bool =
   match r with
   | A.T_table (name, _) -> analyze_relation ctx ~extra ~seen ~add name
-  | A.T_join (l, kind, rr, cond) ->
-      let li = analyze_ref ctx ~extra ~seen ~add l in
-      let ri = analyze_ref ctx ~extra ~seen ~add rr in
+  | A.T_join (l, kind, rr, cond) -> (
+      let lv = analyze_ref ctx ~extra ~seen ~add l in
+      let rv = analyze_ref ctx ~extra ~seen ~add rr in
       Option.iter (walk_expr_diags ctx ~extra ~seen ~add) cond;
-      let vac =
-        match kind with
-        | A.Inner -> li.si_vacuous || ri.si_vacuous
-        | A.Left -> li.si_vacuous
-      in
-      {
-        si_interval = Interval.combine li.si_interval ri.si_interval;
-        si_vacuous = vac;
-      }
+      match kind with A.Inner -> lv || rv | A.Left -> lv)
   | A.T_subquery (s, _) -> analyze_select_acc ctx ~extra ~seen ~add s
 
-and analyze_relation ctx ~extra ~seen ~add name : sel_info =
+and analyze_relation ctx ~extra ~seen ~add name : bool =
   match find_rtable ctx name with
   | Some rt ->
       let dst = Label.union ctx.an_label extra in
-      (match sym_trace ctx with
-      | Some ts -> Ts.note_read ts ~table:rt.rt_name ~dst
-      | None -> ());
-      let parts = partitions ctx rt ~dst in
-      let vacuous =
-        parts.p_visible = [] && parts.p_unknown = 0 && parts.p_hidden <> []
+      (* the partitions of a vacuous scan, [[]] otherwise.  A live scan
+         reads the executor's cached confinement verdict: vacuous iff
+         it keeps nothing and prunes something, and the partition lists
+         are built only to word the diagnostic.  A symbolic trace folds
+         the script's own writes over the committed partitions. *)
+      let hidden =
+        match (sym_trace ctx, rt.rt_heap) with
+        | None, Some heap ->
+            let v =
+              Catalog.confine ctx.an_store heap
+                ~dst:(Label_store.intern ctx.an_store dst)
+            in
+            if Array.length v.Heap.kept = 0 && v.Heap.pruned > 0 then
+              (partitions ctx rt ~dst).p_hidden
+            else []
+        | Some ts, _ ->
+            Ts.note_read ts ~table:rt.rt_name ~dst;
+            let parts = partitions ctx rt ~dst in
+            if parts.p_visible = [] && parts.p_unknown = 0 then parts.p_hidden
+            else []
+        | None, None -> []
       in
-      if vacuous then
+      if hidden <> [] then
         add
           (Diag.warning Diag.Vacuous_query
              "scan of %s is vacuous: all %d stored row(s) carry labels (%s) \
               that cannot flow to the session label %s"
-             rt.rt_name (total parts.p_hidden)
-             (labels_str ctx parts.p_hidden)
-             (lbl ctx dst));
-      { si_interval = interval_of_parts parts ~dst; si_vacuous = vacuous }
+             rt.rt_name (total hidden) (labels_str ctx hidden) (lbl ctx dst));
+      hidden <> []
   | None -> (
       match find_rview ctx name with
       | Some vw ->
-          if List.mem (norm name) seen then
-            { si_interval = Interval.top; si_vacuous = false }
+          if List.mem (norm name) seen then false
           else begin
             let relabel = vw.Catalog.vw_relabel in
             let from_tags = Label.of_list (List.map fst relabel) in
             let extra' =
               Label.union extra (Label.union vw.Catalog.vw_declassify from_tags)
             in
-            let info =
-              analyze_select_acc ctx ~extra:extra' ~seen:(norm name :: seen)
-                ~add vw.Catalog.vw_query
-            in
-            {
-              info with
-              si_interval =
-                Interval.map
-                  (strip ctx vw.Catalog.vw_declassify relabel)
-                  info.si_interval;
-            }
+            analyze_select_acc ctx ~extra:extra' ~seen:(norm name :: seen) ~add
+              vw.Catalog.vw_query
           end
       | None ->
           add (Diag.error Diag.Name_error "unknown relation %s" name);
-          { si_interval = Interval.top; si_vacuous = false })
+          false)
 
 (* ------------------------------------------------------------------ *)
 (* Write analysis (UPDATE / DELETE)                                    *)
@@ -730,8 +685,7 @@ let analyze_insert ctx ~add ~i_table ~i_columns ~i_rows ~i_select
   let declared = Label.of_list declared_tags in
   Option.iter
     (fun sel ->
-      let info = analyze_select_acc ctx ~extra:Label.empty ~seen:[] ~add sel in
-      if info.si_vacuous then
+      if analyze_select_acc ctx ~extra:Label.empty ~seen:[] ~add sel then
         add
           (Diag.warning Diag.Vacuous_query
              "INSERT ... SELECT into %s inserts nothing: the source query is \
@@ -1248,13 +1202,6 @@ let rec analyze_stmt ctx (stmt : A.stmt) : Diag.t list =
   List.stable_sort
     (fun a b -> compare (not (Diag.is_error a)) (not (Diag.is_error b)))
     diags
-
-let select_interval ctx sel =
-  let add _ = () in
-  let info = analyze_select_acc ctx ~extra:Label.empty ~seen:[] ~add sel in
-  Interval.normalize
-    ~flows:(fun ~src ~dst -> flows ctx ~src ~dst)
-    (Interval.intern ctx.an_store info.si_interval)
 
 let rec referenced_tags (stmt : A.stmt) : string list =
   let acc = ref [] in

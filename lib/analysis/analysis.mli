@@ -19,14 +19,14 @@
       under labels the referencing side cannot bridge.
 
     Precision contract: [Error]-severity diagnostics are decided
-    against the {e exact} live partition sets and authority state, not
-    the interval domain, so a clean verdict is never produced for a
-    statement that must fail, and an [Error] means the statement
-    cannot succeed under the current committed data (partition counts
-    include versions awaiting vacuum, so "current data" is read
-    conservatively).  The interval facts ({!select_interval}) feed
-    propagation, diagnostics context and the planner's invisible-scan
-    pruning. *)
+    against the {e exact} live partition sets and authority state, so
+    a clean verdict is never produced for a statement that must fail,
+    and an [Error] means the statement cannot succeed under the
+    current committed data (partition counts include versions awaiting
+    vacuum, so "current data" is read conservatively).  A live scan's
+    partitions are decided by {!Ifdb_engine.Catalog.confine}, the same
+    cached verdict the executor's scans read, so the analyzer's
+    vacuous-scan warning and the executor's pruning cannot disagree. *)
 
 module A := Ifdb_sql.Ast
 module Label := Ifdb_difc.Label
@@ -63,9 +63,6 @@ val analyze_stmt : ctx -> A.stmt -> Diag.t list
 (** Diagnostics for one statement, errors first.  Never raises on
     malformed input — unknown names come back as [Name_error]
     diagnostics. *)
-
-val select_interval : ctx -> A.select -> Interval.t
-(** The label interval inferred for the SELECT's output rows. *)
 
 val referenced_tags : A.stmt -> string list
 (** Every tag name the statement mentions ([{…}] label literals,

@@ -23,7 +23,6 @@ module Parser = Ifdb_sql.Parser
 module Printer = Ifdb_sql.Printer
 module Analysis = Ifdb_analysis.Analysis
 module Trace_state = Ifdb_analysis.Trace_state
-module Interval = Ifdb_analysis.Interval
 module Diag = Ifdb_analysis.Diag
 module Metrics = Ifdb_obs.Metrics
 module Trace = Ifdb_obs.Trace
@@ -111,8 +110,8 @@ type stmt_plan =
    against a specific catalog and authority state, so every entry is
    stamped with the versions it was planned under and discarded when
    either moves.  Scan-time confinement ([partition_scan_filter]) is
-   re-derived per execution from the session, never baked into the
-   plan. *)
+   looked up per execution from the session's label — cached in the
+   heap under its own stamps, never baked into the plan. *)
 type plan_entry = {
   pe_plan : stmt_plan;
   pe_cat_version : int;
@@ -511,59 +510,51 @@ let trace_scan_skipped s ~heap =
 
 (* The single enforcement point for reads: the Label Confinement Rule
    (section 4.2).  Every scan — sequential, morsel-parallel or
-   index-assisted, direct or through views — obtains its label filter
+   index-assisted, direct or through views — obtains its partitions
    here.
 
    The destination label [s_label ∪ extra] is invariant over a scan, so
-   it is unioned and interned once.  Every label partition of the heap
-   is then decided once against it, and the keep-set a merged scan will
-   enumerate is frozen: a pruned partition's slots and pages are never
-   visited, so a scan over k distinct labels performs k flow
-   derivations (or k flow-cache probes) and no per-tuple verdict.  The
-   returned residual filter only re-derives flows for uninterned tuples
-   (label id -1, built outside the statement path).  It keeps no
-   per-call mutable state, so one closure serves the serial and the
-   morsel-parallel paths alike.
+   it is unioned and interned once, and the heap's partitions are
+   decided against it by [Catalog.confine]: once per (heap, destination)
+   until the authority state or the heap's set of non-empty partitions
+   changes, then read back from the heap's verdict cache.  A pruned
+   partition's directory, slots and pages are never visited, so a scan
+   makes at most one flow check per distinct label and, once its
+   reader's verdict is cached, none.  The returned residual filter only
+   re-derives flows for uninterned tuples (label id -1, built outside
+   the statement path).  It keeps no per-call mutable state, so one
+   closure serves the serial and the morsel-parallel paths alike.
 
-   Returns (keep, residual, any_visible, visited): [keep] is frozen
-   membership for the merged-scan primitives; [any_visible] is [false]
-   when no live partition can flow to the destination, so the scan
-   provably returns nothing and the caller may skip it without touching
-   a page; [visited] lists the label ids whose partitions the scan will
-   read (its serializability footprint). *)
-let partition_scan_filter s ~heap ~extra :
-    (int -> bool) * (Heap.version -> bool) * bool * int list =
+   Returns (kept, residual): [kept] are the label ids of the partitions
+   the merged-scan primitives enumerate, which are also the scan's
+   serializability footprint; when it is empty no live partition can
+   flow to the destination, so the scan provably returns nothing and
+   the caller may skip it without touching a page. *)
+let scan_verdict s ~heap ~dst =
   let db = s.sdb in
-  if not db.ifc then begin
+  Catalog.confine db.lstore heap
+    ~dst:(if db.ifc then Label_store.intern db.lstore dst else -1)
+
+let partition_scan_filter s ~heap ~extra :
+    int array * (Heap.version -> bool) =
+  let db = s.sdb in
+  let dst = Label.union s.s_label extra in
+  let { Heap.kept; pruned } = scan_verdict s ~heap ~dst in
+  if not db.ifc then
     (* no confinement: every partition is kept, and the footprint still
        names them so partition-level write locks conflict correctly *)
-    let visited = ref [] in
-    Heap.iter_label_counts heap (fun lid _ -> visited := lid :: !visited);
-    ((fun _ -> true), trace_scan_filter s ~heap (fun _ -> true), true, !visited)
-  end
+    (kept, trace_scan_filter s ~heap (fun _ -> true))
   else begin
-    let store = db.lstore in
-    let dst = Label.union s.s_label extra in
-    let dst_id = Label_store.intern store dst in
-    let kept : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-    let visited = ref [] in
-    let pruned = ref 0 and pruned_tuples = ref 0 in
-    Heap.iter_label_counts heap (fun lid count ->
-        if lid < 0 || Label_store.flows_id store ~src:lid ~dst:dst_id then begin
-          Hashtbl.replace kept lid ();
-          visited := lid :: !visited
-        end
-        else begin
-          incr pruned;
-          pruned_tuples := !pruned_tuples + count
-        end);
-    if !pruned > 0 then
-      ignore (Atomic.fetch_and_add db.pruned_parts !pruned);
+    if pruned > 0 then ignore (Atomic.fetch_and_add db.pruned_parts pruned);
     (* an EXPLAIN ANALYZE trace still reports the tuples confinement
        kept from this statement, even though they were pruned without
        being scanned *)
     (match s.s_trace with
-    | Some tr when !pruned_tuples > 0 ->
+    | Some tr when pruned > 0 ->
+        let pruned_tuples = ref 0 in
+        Heap.iter_label_counts heap (fun lid count ->
+            if not (Array.mem lid kept) then
+              pruned_tuples := !pruned_tuples + count);
         ignore
           (Atomic.fetch_and_add
              (Trace.scan_entry tr (Heap.name heap)).Trace.sc_pruned
@@ -574,7 +565,7 @@ let partition_scan_filter s ~heap ~extra :
           Tuple.label_id v.Heap.tuple >= 0
           || Authority.flows db.auth ~src:(Tuple.label v.Heap.tuple) ~dst)
     in
-    ((fun lid -> Hashtbl.mem kept lid), residual, !visited <> [], !visited)
+    (kept, residual)
   end
 
 (* The serializability footprint of a pruned scan: the directory key
@@ -586,7 +577,7 @@ let note_partition_reads s txn heap visited =
   let mgr = s.sdb.mgr in
   let name = Heap.name heap in
   Manager.note_read mgr txn (Manager.directory_key name);
-  List.iter
+  Array.iter
     (fun lid -> Manager.note_read mgr txn (Manager.partition_key name lid))
     visited
 
@@ -595,11 +586,9 @@ let note_partition_reads s txn heap visited =
    scan provably returns nothing and touches no page. *)
 let open_scan s ~heap ~extra =
   let txn = current_txn s "scan" in
-  let keep, residual, any_visible, visited =
-    partition_scan_filter s ~heap ~extra
-  in
-  note_partition_reads s txn heap visited;
-  if any_visible then Some (txn, keep, residual)
+  let kept, residual = partition_scan_filter s ~heap ~extra in
+  note_partition_reads s txn heap kept;
+  if Array.length kept > 0 then Some (txn, kept, residual)
   else begin
     trace_scan_skipped s ~heap;
     None
@@ -610,11 +599,11 @@ let table_heap s table = (Catalog.table s.sdb.cat table).Catalog.tbl_heap
 let scan_versions s ~heap ~extra : Heap.version Seq.t =
   match open_scan s ~heap ~extra with
   | None -> Seq.empty
-  | Some (txn, keep, residual) ->
+  | Some (txn, kept, residual) ->
       let mgr = s.sdb.mgr in
       Seq.filter
         (fun v -> Manager.visible mgr txn v && residual v)
-        (Heap.seq_merge heap ~keep)
+        (Heap.seq_merge heap ~kept)
 
 (* A sequential scan as a push source cut into vid ranges of [morsel]
    slots: the same confinement, visibility and footprint as
@@ -623,14 +612,14 @@ let scan_versions s ~heap ~extra : Heap.version Seq.t =
    per-row closure chain.  Ranges stay global vid ranges: each
    merge-scans only the kept partitions' slice of its range, and
    concatenated in order they give the serial merged scan's output.
-   [keep] and [residual] are frozen before any range runs, so worker
+   [kept] and [residual] are frozen before any range runs, so worker
    domains read them lock-free; the snapshots and status table that
    visibility reads are read-only while a read-only parallel section
    runs.  A label-empty scan has no ranges. *)
 let merge_source s ~heap ~extra ~morsel : Executor.morsel_source =
   match open_scan s ~heap ~extra with
   | None -> { Executor.ms_morsels = 0; ms_run = (fun _ _ -> ()) }
-  | Some (txn, keep, residual) ->
+  | Some (txn, kept, residual) ->
       let mgr = s.sdb.mgr in
       let slots = Heap.slot_count heap in
       {
@@ -638,7 +627,7 @@ let merge_source s ~heap ~extra ~morsel : Executor.morsel_source =
           (if slots = 0 then 0 else ((slots - 1) / morsel) + 1);
         ms_run =
           (fun i emit ->
-            Heap.iter_merge_range heap ~keep ~lo:(i * morsel)
+            Heap.iter_merge_range heap ~kept ~lo:(i * morsel)
               ~hi:((i + 1) * morsel)
               (fun v ->
                 if Manager.visible mgr txn v && residual v then
@@ -646,11 +635,17 @@ let merge_source s ~heap ~extra ~morsel : Executor.morsel_source =
       }
 
 (* Cut a table into morsels for the parallel executor.  Returns [None]
-   for tables too small to amortize the fork/join barrier — the
-   executor then runs the serial path. *)
+   when the kept partitions hold too few versions to amortize the
+   fork/join barrier — the executor then runs the serial path, which
+   opens the scan itself.  The size is read from the cached verdict
+   before the scan is opened, so an own scan of one small partition in
+   a large table stays serial. *)
 let morsel_scan s ~table ~extra : Executor.morsel_source option =
   let heap = table_heap s table and morsel = s.sdb.morsel in
-  if Heap.slot_count heap < 2 * morsel then None
+  let { Heap.kept; _ } =
+    scan_verdict s ~heap ~dst:(Label.union s.s_label extra)
+  in
+  if Heap.kept_versions heap kept < 2 * morsel then None
   else Some (merge_source s ~heap ~extra ~morsel)
 
 (* enumerate only the index segments whose label flows to the session:
@@ -660,13 +655,11 @@ let morsel_scan s ~table ~extra : Executor.morsel_source option =
    stops early (LIMIT, probe join) walks only what it needs. *)
 let index_versions s ~heap ~idx ~prefix ~lo ~hi ~extra : Heap.version Seq.t =
   let txn = current_txn s "scan" in
-  let keep, residual, any_visible, visited =
-    partition_scan_filter s ~heap ~extra
-  in
-  note_partition_reads s txn heap visited;
-  if not any_visible then Seq.empty
+  let kept, residual = partition_scan_filter s ~heap ~extra in
+  note_partition_reads s txn heap kept;
+  if Array.length kept = 0 then Seq.empty
   else
-    Catalog.seq_index_prefix idx ~keep ~prefix ~lo ~hi
+    Catalog.seq_index_prefix idx ~kept ~prefix ~lo ~hi
     |> Seq.filter_map (fun (_key, vid) -> Heap.get_opt heap vid)
     |> Seq.filter (fun v -> Manager.visible s.sdb.mgr txn v && residual v)
 
@@ -803,10 +796,9 @@ let exec_ctx s : Executor.ctx =
                                  visited, so lock at the same
                                  granularity writers use *)
                               let heap = t.Catalog.tbl_heap in
-                              let visited = ref [] in
-                              Heap.iter_label_counts heap (fun lid _ ->
-                                  visited := lid :: !visited);
-                              note_partition_reads s txn heap !visited
+                              note_partition_reads s txn heap
+                                (Catalog.confine db.lstore heap ~dst:(-1))
+                                  .Heap.kept
                           | None -> ())
                         (Ivm.base_tables db.ivm view)
                   | None -> ());
@@ -859,33 +851,31 @@ let audit_declassify s plan = if s.sdb.ifc then audit_plan_declassify s plan
    every scan of a base table sits directly under a filter whose
    conjuncts pin [_label] to one literal, only that label's partition
    can feed the view's state, so commit deltas under any other label
-   are provably no-ops (satellite of the partition-pruning work;
-   intervals from the PR 4 analysis carry the pin).  Conservative by
-   construction: a table scanned anywhere without such a pin — or with
-   two different pins — stays fully relevant, and uninterned writes
-   (lid < 0) are never pruned. *)
+   are provably no-ops.  Conservative by construction: a table scanned
+   anywhere without such a pin — or with two different pins — stays
+   fully relevant, and uninterned writes (lid < 0) are never pruned. *)
 let derive_view_affects db plan =
-  let pins : (string, Interval.t option) Hashtbl.t = Hashtbl.create 4 in
-  let note table iv =
+  let pins : (string, Label.t option) Hashtbl.t = Hashtbl.create 4 in
+  let note table pin =
     let key = norm table in
     let merged =
-      match (Hashtbl.find_opt pins key, iv) with
-      | None, _ -> iv
+      match (Hashtbl.find_opt pins key, pin) with
+      | None, _ -> pin
       | Some None, _ | Some _, None -> None
       | Some (Some prev), Some cur ->
-          if Interval.equal prev cur then Some prev else None
+          if Label.equal prev cur then Some prev else None
     in
     Hashtbl.replace pins key merged
   in
-  (* the exact-label interval a filter predicate pins rows to: a
-     top-level conjunct [_label = {…}] (either operand order) *)
-  let rec exact_of_pred (e : Expr.t) : Interval.t option =
+  (* the exact label a filter predicate pins rows to: a top-level
+     conjunct [_label = {…}] (either operand order) *)
+  let rec exact_of_pred (e : Expr.t) : Label.t option =
     match e with
     | Expr.Binop (Expr.And, a, b) -> (
         match exact_of_pred a with Some _ as r -> r | None -> exact_of_pred b)
     | Expr.Binop (Expr.Eq, Expr.Row_label, Expr.Const (Value.Ints ints))
     | Expr.Binop (Expr.Eq, Expr.Const (Value.Ints ints), Expr.Row_label) ->
-        Some (Interval.exact (Label.of_ints ints))
+        Some (Label.of_ints ints)
     | _ -> None
   in
   let rec walk (p : Plan.t) =
@@ -898,13 +888,8 @@ let derive_view_affects db plan =
   walk plan;
   let pinned =
     Hashtbl.fold
-      (fun table iv acc ->
-        match iv with
-        | Some iv -> (
-            match Interval.exact_label iv with
-            | Some l -> (table, l) :: acc
-            | None -> acc)
-        | None -> acc)
+      (fun table pin acc ->
+        match pin with Some l -> (table, l) :: acc | None -> acc)
       pins []
   in
   if pinned = [] then None
@@ -2140,8 +2125,10 @@ let plan_lines plan =
 
 (* Run a SELECT with a trace installed and render the per-operator
    report.  The flow-check figures are the [Label_store] stats delta
-   around the execution, so they count exactly this query's label
-   machinery (memoized and missed alike). *)
+   around the execution (memoized and missed alike): the checks that
+   decided a confinement verdict this execution read from the heap's
+   cache — made by an earlier statement, or by this one's prepare-time
+   analysis — are not in them. *)
 let explain_analyze_select s sel : string list * result =
   in_statement_txn s (fun _txn ->
       let db = s.sdb in
@@ -2943,7 +2930,7 @@ let register_component_metrics reg ~lstore ~bp ~the_wal ~gc ~audit ~ivm ~cat
     "view reads answered by recomputation" (fun () ->
       vs (fun st -> st.Ivm.vs_recomputes));
   c "ifdb_mat_view_skipped_total"
-    "commit deltas skipped by label-interval analysis" (fun () ->
+    "commit deltas skipped by exact _label pins" (fun () ->
       vs (fun st -> st.Ivm.vs_skipped));
   (* label partitions, summed over every table: a whole-database count
      correlated only with the set of labels ever written — the same

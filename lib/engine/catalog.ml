@@ -5,6 +5,8 @@ module Tuple = Ifdb_rel.Tuple
 module Value = Ifdb_rel.Value
 module Heap = Ifdb_storage.Heap
 module Btree = Ifdb_storage.Btree
+module Authority = Ifdb_difc.Authority
+module Label_store = Ifdb_difc.Label_store
 
 exception Catalog_error of string
 
@@ -198,6 +200,22 @@ let remove_from_indexes _t tbl values ~lid vid =
     (fun idx -> Btree.remove (seg_of idx lid) (index_key idx values) vid)
     tbl.tbl_indexes
 
+(* --- confinement ----------------------------------------------------
+
+   The Query by Label rule's partition decision (section 4.2), made in
+   one place for the executor and the analyzer alike: a partition is
+   kept when its label flows to the destination; uninterned tuples
+   (-1) are kept and judged per tuple by the caller.  The decision
+   reads only the two labels and the authority state, which is exactly
+   what the verdict's generation stamp pins. *)
+
+let confine store heap ~dst =
+  if dst < 0 then Heap.confine heap ~dst ~generation:0 ~decide:(fun _ -> true)
+  else
+    Heap.confine heap ~dst
+      ~generation:(Authority.generation (Label_store.authority store))
+      ~decide:(fun lid -> lid < 0 || Label_store.flows_id store ~src:lid ~dst)
+
 (* --- index lookups across segments ---------------------------------
 
    Readers go through these instead of touching [idx_segs] directly.
@@ -253,13 +271,14 @@ let compare_posting (k1, v1) (k2, v2) =
   let c = Btree.compare_key k1 k2 in
   if c <> 0 then c else compare (v1 : int) v2
 
-let seq_index_prefix idx ~keep ~prefix ~lo ~hi : (Btree.key * int) Seq.t =
+let seq_index_prefix idx ~kept ~prefix ~lo ~hi : (Btree.key * int) Seq.t =
   let streams =
-    Hashtbl.fold
-      (fun lid tree acc ->
-        if keep lid then Btree.seq_prefix_range tree ~prefix ~lo ~hi :: acc
-        else acc)
-      idx.idx_segs []
+    Array.fold_left
+      (fun acc lid ->
+        match Hashtbl.find_opt idx.idx_segs lid with
+        | Some tree -> Btree.seq_prefix_range tree ~prefix ~lo ~hi :: acc
+        | None -> acc)
+      [] kept
   in
   merge_seqs compare_posting streams
 

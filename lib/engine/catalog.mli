@@ -94,6 +94,23 @@ val table : t -> string -> table
 
 val all_tables : t -> table list
 
+(** {1 Confinement} *)
+
+val confine :
+  Ifdb_difc.Label_store.t -> Ifdb_storage.Heap.t -> dst:int ->
+  Ifdb_storage.Heap.verdict
+(** The Query by Label rule's partition decision for a scan of this
+    heap under interned destination label [dst]: a partition is kept iff
+    its label id is [-1] (uninterned; the caller filters those tuples
+    one by one) or its label flows to [dst].  The one place the
+    decision is made: the executor's scans and index probes and the
+    analyzer's vacuous-scan check all read it.  The verdict is cached
+    in the heap ({!Ifdb_storage.Heap.confine}) under the authority
+    generation, so repeated statements by one reader make no flow
+    check until the authority state or the heap's set of non-empty
+    partitions changes.  A negative [dst] asks for the unconfined
+    verdict (IFC off): every non-empty partition kept. *)
+
 (** {1 Indexes} *)
 
 val create_index :
@@ -137,13 +154,15 @@ val index_find_label : index -> Value.t array -> lid:int -> int list
 
 val seq_index_prefix :
   index ->
-  keep:(int -> bool) ->
+  kept:int array ->
   prefix:Value.t array ->
   lo:(Value.t * bool) option ->
   hi:(Value.t * bool) option ->
   (Value.t array * int) Seq.t
-(** Lazy prefix/range scan in (key, vid) order over the segments whose
-    label id [keep] accepts. *)
+(** Lazy prefix/range scan in (key, vid) order over the segments of the
+    label ids in [kept] (a confinement verdict's, see {!confine}); only
+    those segments are opened, so a probe costs O(kept) setup whatever
+    the number of segments. *)
 
 val iter_index_entries : index -> (Value.t array -> int -> unit) -> unit
 (** Every posting in (key, vid) order, across all segments. *)

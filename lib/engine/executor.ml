@@ -188,12 +188,20 @@ let finish_agg (kind : Plan.agg_kind) st : Value.t =
    aggregation folds every row into one table; parallel aggregation
    folds each worker's rows into its own and merges them at the
    barrier. *)
+type group = agg_state array * label_acc
+
 type groups = {
-  g_tbl : (Value.t list, agg_state array * label_acc) Hashtbl.t;
+  g_tbl : (Value.t list, group) Hashtbl.t;
   mutable g_order : Value.t list list; (* reverse first-seen order *)
+  (* the group the previous row folded into, under its key: scans emit
+     rows of one group in runs (one label partition, one key), and
+     without GROUP BY every row has the key [] *)
+  mutable g_last_key : Value.t list;
+  mutable g_last : group option;
 }
 
-let new_groups () = { g_tbl = Hashtbl.create 64; g_order = [] }
+let new_groups () =
+  { g_tbl = Hashtbl.create 64; g_order = []; g_last_key = []; g_last = None }
 
 let group g ~aggs k =
   match Hashtbl.find_opt g.g_tbl k with
@@ -207,16 +215,28 @@ let group g ~aggs k =
       g.g_order <- k :: g.g_order;
       s
 
-(* [fold_row ctx g ~keys ~aggs row] folds one row into its group. *)
+(* left to right: a key may call a user function with effects *)
+let rec eval_keys ctx row keys i =
+  if i = Array.length keys then []
+  else
+    let v = Expr.eval ctx.fenv row keys.(i) in
+    v :: eval_keys ctx row keys (i + 1)
+
+(* [fold_row ctx g ~keys ~aggs row] folds one row into its group.  A
+   key equal to the previous row's under [compare] — the equality the
+   group table itself uses — folds into the previous row's group
+   without hashing. *)
 let fold_row ctx g ~keys ~aggs row =
-  (* left to right: a key may call a user function with effects *)
-  let rec key i =
-    if i = Array.length keys then []
-    else
-      let v = Expr.eval ctx.fenv row keys.(i) in
-      v :: key (i + 1)
+  let k = eval_keys ctx row keys 0 in
+  let states, lbl =
+    match g.g_last with
+    | Some last when compare k g.g_last_key = 0 -> last
+    | Some _ | None ->
+        let s = group g ~aggs k in
+        g.g_last_key <- k;
+        g.g_last <- Some s;
+        s
   in
-  let states, lbl = group g ~aggs (key 0) in
   absorb_label lbl row;
   for i = 0 to Array.length aggs - 1 do
     feed_agg ctx row aggs.(i) states.(i)

@@ -223,10 +223,10 @@ type view = {
   mutable mv_affects : (string -> int -> bool) option;
       (* [Some f]: [f table lid] says whether a committed write to
          [table] under label id [lid] can affect the view's state.
-         Derived from the static label-interval analysis of the view
-         body (a filter pinning [_label] to one literal confines the
-         view to that single partition); [None] means every write to a
-         base table is assumed relevant. *)
+         Derived from the view body's plan (a filter pinning [_label]
+         to one literal confines the view to that single partition);
+         [None] means every write to a base table is assumed
+         relevant. *)
   mv_cache : (int, int * Tuple.t list) Hashtbl.t;
       (* dst label id -> (authority generation, served rows): the
          declassified, visibility-filtered result for one reader
@@ -825,7 +825,7 @@ type view_stats = {
   vs_refreshes : int;
   vs_served : int;
   vs_recomputes : int;
-  vs_skipped : int;    (* deltas skipped by label-interval analysis *)
+  vs_skipped : int;    (* deltas skipped by the view's [_label] pin *)
 }
 
 let view_stats_of vw =

@@ -68,13 +68,13 @@ val set_affects : t -> view:string -> (string -> int -> bool) option -> unit
 (** Install (or clear) the view's write-relevance predicate:
     [f table lid] must return [false] only when a committed write to
     [table] under interned label id [lid] {e provably} cannot change
-    the view's state — e.g. the static label-interval analysis proved
-    the view body pins [_label] to a single literal, so only that
-    label's partition feeds the state.  [apply] drops pruned writes
-    before delta evaluation and counts a commit whose base-table
-    writes are all pruned as a skip ({!view_stats.vs_skipped}) rather
-    than a delta.  Unsound predicates corrupt the state; callers must
-    derive them from a conservative analysis. *)
+    the view's state — e.g. the view body pins [_label] to a single
+    literal, so only that label's partition feeds the state.  [apply]
+    drops pruned writes before delta evaluation and counts a commit
+    whose base-table writes are all pruned as a skip
+    ({!view_stats.vs_skipped}) rather than a delta.  Unsound predicates
+    corrupt the state; callers must derive them from a conservative
+    analysis. *)
 
 val unregister : t -> string -> unit
 
@@ -123,7 +123,7 @@ type view_stats = {
   vs_served : int;     (** reads answered from the state *)
   vs_recomputes : int; (** reads that fell back to the plan *)
   vs_skipped : int;
-      (** commit deltas skipped because the label-interval analysis
+      (** commit deltas skipped because the view's [_label] pin
           proved no write in the commit could affect the view *)
 }
 

@@ -1,17 +1,21 @@
+(* The slot array is allocated on the first push, filled with that
+   element, so slots hold elements unboxed: a slot at or past [total]
+   is never read. *)
 type 'a t = {
   mu : Mutex.t;
   cap : int;
-  slots : 'a option array;
+  mutable slots : 'a array; (* [||] until the first push *)
   mutable total : int;
 }
 
 let create ~capacity =
-  let cap = max 1 capacity in
-  { mu = Mutex.create (); cap; slots = Array.make cap None; total = 0 }
+  { mu = Mutex.create (); cap = max 1 capacity; slots = [||]; total = 0 }
 
 let push t make =
   Mutex.protect t.mu (fun () ->
-      t.slots.(t.total mod t.cap) <- Some (make t.total);
+      let x = make t.total in
+      if t.total = 0 then t.slots <- Array.make t.cap x
+      else t.slots.(t.total mod t.cap) <- x;
       t.total <- t.total + 1)
 
 let count t = Mutex.protect t.mu (fun () -> t.total)
@@ -20,7 +24,4 @@ let capacity t = t.cap
 let recent t n =
   Mutex.protect t.mu (fun () ->
       let n = min (max 0 n) (min t.total t.cap) in
-      List.init n (fun i ->
-          match t.slots.((t.total - 1 - i) mod t.cap) with
-          | Some x -> x
-          | None -> assert false))
+      List.init n (fun i -> t.slots.((t.total - 1 - i) mod t.cap)))

@@ -8,7 +8,10 @@
 type 'a t
 
 val create : capacity:int -> 'a t
-(** An empty ring holding at most [max 1 capacity] elements. *)
+(** An empty ring holding at most [max 1 capacity] elements.  Its
+    slots are allocated on the first {!push} and hold elements
+    unboxed, so a ring nobody pushes to costs a few words, and a full
+    one one word per slot. *)
 
 val push : 'a t -> (int -> 'a) -> unit
 (** [push t make] appends [make seq], where [seq] is the number of

@@ -35,6 +35,13 @@ let hole =
     page = -1;
   }
 
+(* A confinement verdict: which non-empty partitions a scan under one
+   destination label keeps, and how many it prunes. *)
+type verdict = { kept : int array; pruned : int }
+
+(* A cached verdict and the two stamps it is valid under. *)
+type stamped = { s_generation : int; s_epoch : int; s_verdict : verdict }
+
 type t = {
   heap_name : string;
   labeled : bool;
@@ -49,6 +56,14 @@ type t = {
      shapes per table).  Maintained incrementally on insert, vacuum and
      commit/abort — never rebuilt by scanning the heap. *)
   parts : (int, partition) Hashtbl.t;
+  (* the partition epoch: bumped whenever the set of non-empty
+     partitions changes — a partition's first non-vacuumed version, or
+     vacuum reclaiming its last *)
+  mutable epoch : int;
+  (* destination label id -> the verdict last decided for it.  Readers
+     on any domain fill it, so it is guarded by [verdict_mu]. *)
+  verdicts : (int, stamped) Hashtbl.t;
+  verdict_mu : Mutex.t;
   (* the vacuum queue: vids retired since the last vacuum pass (or kept
      by it, their deleter not yet past the horizon).  Commits push from
      concurrent domains, so it is guarded by [retire_mu]. *)
@@ -66,6 +81,9 @@ let create ~name ~labeled ~pool () =
     len = 0;
     pages = 0;
     parts = Hashtbl.create 8;
+    epoch = 0;
+    verdicts = Hashtbl.create 8;
+    verdict_mu = Mutex.create ();
     retire_mu = Mutex.create ();
     retired = Array.make 16 0;
     n_retired = 0;
@@ -136,6 +154,46 @@ let partition_stats t =
     t.parts []
   |> List.sort (fun a b -> compare a.ps_lid b.ps_lid)
 
+(* --- confinement verdicts -----------------------------------------
+
+   A verdict depends on the destination label, the authority state the
+   caller's decision reads, and the set of non-empty partitions.  The
+   entry for a destination is stamped with the caller's generation and
+   this heap's partition epoch, and is re-decided when either moved.
+   Entries are few (one per reader label that scanned this heap); when
+   [verdict_cap] are held the table is dropped wholesale, like the
+   implicit plan cache. *)
+
+let verdict_cap = 256
+
+let confine t ~dst ~generation ~decide =
+  Mutex.protect t.verdict_mu @@ fun () ->
+  match Hashtbl.find_opt t.verdicts dst with
+  | Some e when e.s_generation = generation && e.s_epoch = t.epoch ->
+      e.s_verdict
+  | Some _ | None ->
+      let kept = ref [] and pruned = ref 0 in
+      Hashtbl.iter
+        (fun lid p ->
+          if p.p_count > 0 then
+            if decide lid then kept := lid :: !kept else incr pruned)
+        t.parts;
+      let kept = Array.of_list !kept in
+      Array.sort Int.compare kept;
+      let verdict = { kept; pruned = !pruned } in
+      if Hashtbl.length t.verdicts >= verdict_cap then Hashtbl.reset t.verdicts;
+      Hashtbl.replace t.verdicts dst
+        { s_generation = generation; s_epoch = t.epoch; s_verdict = verdict };
+      verdict
+
+let kept_versions t kept =
+  Array.fold_left
+    (fun n lid ->
+      match Hashtbl.find_opt t.parts lid with
+      | Some p -> n + p.p_count
+      | None -> n)
+    0 kept
+
 let name t = t.heap_name
 let pool t = t.bp
 
@@ -176,6 +234,7 @@ let insert t ~xmin tuple =
   end;
   p.p_vids.(p.p_len) <- v.vid;
   p.p_len <- p.p_len + 1;
+  if p.p_count = 0 then t.epoch <- t.epoch + 1;
   p.p_count <- p.p_count + 1;
   p.p_live <- p.p_live + 1;
   Buffer_pool.dirty t.bp v.page;
@@ -240,7 +299,9 @@ let reclaim t vid =
     if v != hole then begin
       t.slots.(vid) <- hole;
       match Hashtbl.find_opt t.parts (Ifdb_rel.Tuple.label_id v.tuple) with
-      | Some p -> p.p_count <- p.p_count - 1
+      | Some p ->
+          p.p_count <- p.p_count - 1;
+          if p.p_count = 0 then t.epoch <- t.epoch + 1
       | None -> ()
     end
   end
@@ -308,7 +369,7 @@ let to_seq t =
 
 (* --- merged scans over selected partitions -------------------------
 
-   A pruned scan enumerates only the partitions [keep] accepts, but it
+   A pruned scan enumerates only the partitions in [kept], but it
    produces versions in {e global vid order}, so its output order does
    not depend on how labels interleave (the parallel executor compares
    exact output order against the serial scan).  Each partition's vid
@@ -362,25 +423,25 @@ let reset_bound m =
     | _ -> min (head cs.(1)) (head cs.(2)))
 
 (* Cursors over the kept partitions, each at its first vid >= [lo];
-   partitions with no vid in [lo, hi) drop out.  Reads only the
-   directories: no slot or page is visited here. *)
-let merge_start t ~keep ~lo ~hi =
+   partitions with no vid in [lo, hi) drop out.  Reads only the kept
+   partitions' directories: no slot or page is visited here. *)
+let merge_start t ~kept ~lo ~hi =
   let cursors =
-    Hashtbl.fold
-      (fun lid p acc ->
-        if p.p_count > 0 && keep lid then begin
-          (* binary search for the first position with vid >= lo *)
-          let a = ref 0 and b = ref p.p_len in
-          while !a < !b do
-            let m = (!a + !b) / 2 in
-            if p.p_vids.(m) < lo then a := m + 1 else b := m
-          done;
-          if !a < p.p_len && p.p_vids.(!a) < hi then
-            { c_part = p; c_pos = !a } :: acc
-          else acc
-        end
-        else acc)
-      t.parts []
+    Array.fold_left
+      (fun acc lid ->
+        match Hashtbl.find_opt t.parts lid with
+        | Some p when p.p_count > 0 ->
+            (* binary search for the first position with vid >= lo *)
+            let a = ref 0 and b = ref p.p_len in
+            while !a < !b do
+              let m = (!a + !b) / 2 in
+              if p.p_vids.(m) < lo then a := m + 1 else b := m
+            done;
+            if !a < p.p_len && p.p_vids.(!a) < hi then
+              { c_part = p; c_pos = !a } :: acc
+            else acc
+        | Some _ | None -> acc)
+      [] kept
   in
   let m =
     {
@@ -439,8 +500,8 @@ let merge_fetch t m vid =
   end;
   v
 
-let iter_merge_range t ~keep ~lo ~hi f =
-  let m = merge_start t ~keep ~lo:(max 0 lo) ~hi:(min hi t.len) in
+let iter_merge_range t ~kept ~lo ~hi f =
+  let m = merge_start t ~kept ~lo:(max 0 lo) ~hi:(min hi t.len) in
   let rec loop () =
     let vid = merge_next m in
     if vid >= 0 then begin
@@ -451,10 +512,10 @@ let iter_merge_range t ~keep ~lo ~hi f =
   in
   loop ()
 
-let iter_merge t ~keep f = iter_merge_range t ~keep ~lo:0 ~hi:t.len f
+let iter_merge t ~kept f = iter_merge_range t ~kept ~lo:0 ~hi:t.len f
 
-let seq_merge t ~keep : version Seq.t =
-  let m = merge_start t ~keep ~lo:0 ~hi:max_int in
+let seq_merge t ~kept : version Seq.t =
+  let m = merge_start t ~kept ~lo:0 ~hi:max_int in
   let rec next () =
     let vid = merge_next m in
     if vid < 0 then Seq.Nil

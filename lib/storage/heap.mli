@@ -20,7 +20,8 @@
     whole page runs by construction.  The merged-scan primitives
     enumerate only the partitions a caller keeps, in global vid order —
     the same versions, in the same order, as {!iter} plus a per-tuple
-    label filter.
+    label filter.  Which partitions a scan keeps is decided by the
+    caller and cached here per destination label ({!confine}).
 
     {b Vacuum.}  Vacuum is driven the same way: a version is queued
     when it dies ({!retire_version}), and a pass visits only the queue
@@ -112,11 +113,11 @@ val to_seq : t -> version Seq.t
 val iter_label_counts : t -> (int -> int -> unit) -> unit
 (** [iter_label_counts t f] calls [f label_id count] for each label-id
     partition with live (non-vacuumed) versions; uninterned tuples
-    ([Tuple.label_id = -1]) are grouped under [-1].  A sequential scan
-    uses this to decide the visibility of every distinct label once up
-    front and skip whole invisible groups, instead of re-deciding per
-    tuple.  Counts include versions awaiting vacuum, so the partition
-    set is a superset of the visible labels — safe for pruning. *)
+    ([Tuple.label_id = -1]) are grouped under [-1].  Counts include
+    versions awaiting vacuum, so the partition set is a superset of the
+    visible labels — safe for pruning.  Scans decide their partitions
+    through {!confine}; this serves reports, the analyzer's
+    diagnostics and EXPLAIN ANALYZE's pruned-tuple tally. *)
 
 val distinct_label_count : t -> int
 (** Number of distinct label-id partitions currently present. *)
@@ -146,23 +147,58 @@ val partition_stats : t -> partition_stats list
 (** Per-partition stats, sorted by label id; partitions whose versions
     were all vacuumed are omitted. *)
 
+(** {1 Confinement verdicts} *)
+
+type verdict = {
+  kept : int array;
+      (** label ids of the non-empty partitions the decision accepted,
+          ascending *)
+  pruned : int;  (** non-empty partitions it rejected *)
+}
+
+val confine :
+  t -> dst:int -> generation:int -> decide:(int -> bool) -> verdict
+(** [confine t ~dst ~generation ~decide] is the verdict for a scan
+    under destination label id [dst]: every non-empty partition whose
+    label id [decide] accepts is kept, every other one is pruned.  The
+    heap stays policy-free — the caller passes the decision — and it
+    caches the verdict per [dst], stamped with [generation] (the
+    authority state [decide] reads) and this heap's partition epoch.
+    The epoch moves only when the set of non-empty partitions changes:
+    a partition's first non-vacuumed version ({!insert}) or vacuum
+    reclaiming its last ({!reclaim}).  While both stamps match, a call
+    returns the cached verdict without calling [decide] at all; when
+    either moved, [decide] runs once per non-empty partition.
+
+    Sound only for a [decide] that is a pure function of the label id,
+    [dst] and the state [generation] pins: then a stale entry could at
+    most miss a partition born after it, and the epoch rules that out.
+    The cache holds at most 256 destinations and is dropped wholesale
+    when full.  Thread-safe. *)
+
+val kept_versions : t -> int array -> int
+(** Non-vacuumed versions in the given partitions: the work a merged
+    scan over them will see. *)
+
 (** {1 Merged scans over selected partitions} *)
 
-val iter_merge : t -> keep:(int -> bool) -> (version -> unit) -> unit
-(** Scan only the partitions whose label id [keep] accepts, merged into
+val iter_merge : t -> kept:int array -> (version -> unit) -> unit
+(** Scan only the partitions whose label ids are in [kept] (distinct
+    ids; ids without a non-empty partition are skipped), merged into
     global vid order — the same versions, in the same order, as {!iter}
     followed by a per-tuple label filter, but without ever touching a
-    pruned partition's slots or pages.
+    pruned partition's directory, slots or pages.
 
     Cost: the merge keeps one cursor per kept partition in a binary
     min-heap keyed by its next vid and gallops — the top cursor emits
     while its vids stay below every other cursor's head.  A version
     costs O(1) inside a partition's vid run and O(log k) at the end of
     one, so O(log k) over k partitions that interleave row by row, plus
-    O(k log p) to position the cursors over directories of p entries. *)
+    O(k log p) to position the k cursors over directories of p
+    entries. *)
 
 val iter_merge_range :
-  t -> keep:(int -> bool) -> lo:int -> hi:int -> (version -> unit) -> unit
+  t -> kept:int array -> lo:int -> hi:int -> (version -> unit) -> unit
 (** {!iter_merge} restricted to vids in [\[lo, hi)] — one morsel of a
     pruned parallel scan.  Same merge and cost.  Charges one buffer-pool
     touch per page change, as {!iter} does.
@@ -172,7 +208,7 @@ val iter_merge_range :
     [xmax] are mutated only by writer transactions, which never run
     concurrently with a read-only parallel scan. *)
 
-val seq_merge : t -> keep:(int -> bool) -> version Seq.t
+val seq_merge : t -> kept:int array -> version Seq.t
 (** Lazy {!iter_merge}, on the same merge core and at the same cost.  It
     stays element-at-a-time lazy: pulling one version advances the merge
     by one version and touches at most that version's page, so [LIMIT]

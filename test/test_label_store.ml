@@ -238,6 +238,9 @@ let scan_fixture () =
 
 let count_rows s sql = List.length (Db.query s sql)
 
+(* The first scan decides the table's partitions for this reader once
+   (the analyzer and the executor share that verdict); a repeat reads
+   the cached verdict and makes no flow check at all. *)
 let test_db_scans_hit_flow_cache () =
   let db, _, analyst, _ = scan_fixture () in
   let store = Db.label_store db in
@@ -253,7 +256,7 @@ let test_db_scans_hit_flow_cache () =
   Alcotest.(check int) "again" 3 (count_rows analyst "SELECT * FROM drives");
   let s2 = Label_store.stats store in
   Alcotest.(check int) "second scan answers from the cache" 0 s2.flow_misses;
-  Alcotest.(check bool) "and records a hit" true (s2.flow_hits >= 1)
+  Alcotest.(check int) "and makes no flow check at all" 0 s2.flow_hits
 
 let test_db_invalidation_after_compound_creation () =
   let db, admin, analyst, user = scan_fixture () in

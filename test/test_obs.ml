@@ -321,8 +321,17 @@ let pruned_of line =
           done;
           if !k > !j then int_of_string (String.sub line !j (!k - !j)) else 0)
 
+let flow_line report =
+  match List.find_opt (fun l -> contains l "flow checks:") report with
+  | Some l -> l
+  | None -> Alcotest.fail "flow-check summary line missing"
+
+(* The first statement by a reader decides each table's partitions for
+   it, with real flow checks; later statements read the cached verdicts
+   and make none. *)
 let test_explain_analyze_matches_plain_execution () =
   let _db, analyst = cartel_fixture () in
+  let cold, _ = Db.explain_analyze analyst cartel_sql in
   let plain = Db.query analyst cartel_sql in
   let report, result = Db.explain_analyze analyst cartel_sql in
   (match result with
@@ -344,15 +353,12 @@ let test_explain_analyze_matches_plain_execution () =
       0 report
   in
   Alcotest.(check bool) "label pruning observed" true (total_pruned > 0);
-  (match
-     List.find_opt (fun l -> contains l "flow checks:") report
-   with
-  | None -> Alcotest.fail "flow-check summary line missing"
-  | Some l ->
-      Alcotest.(check bool) "flow checks nonzero" false
-        (contains l "flow checks: 0");
-      Alcotest.(check bool) "memo hit rate reported" true
-        (contains l "hit rate="));
+  let l = flow_line cold in
+  Alcotest.(check bool) "flow checks nonzero when cold" false
+    (contains l "flow checks: 0");
+  Alcotest.(check bool) "memo hit rate reported" true (contains l "hit rate=");
+  Alcotest.(check string) "no flow check when warm" "flow checks: 0"
+    (flow_line report);
   Alcotest.(check bool) "total line present" true
     (List.exists (fun l -> contains l "execution:") report)
 

@@ -308,6 +308,45 @@ let test_parallel_scan_path_engages () =
       true (par_hits > serial_hits)
   end
 
+(* The parallel path is chosen by the versions a scan keeps, not by the
+   table's size: at parallelism 2, an own scan of one 10-row partition
+   in a 64-partition, 640-row table runs on the caller alone, while a
+   fleet scan of the same table still cuts into morsels. *)
+let test_own_scan_stays_serial () =
+  let db = Db.create ~parallelism:2 ~morsel_size:16 () in
+  let admin = Db.connect_admin db in
+  let fleet = Db.create_tag admin ~name:"fleet" () in
+  let tags =
+    Array.init 64 (fun g ->
+        Db.create_tag admin ~name:(Printf.sprintf "g%d" g) ~compounds:[ fleet ]
+          ())
+  in
+  ignore (Db.exec admin "CREATE TABLE r (id INT PRIMARY KEY, v INT)");
+  let reader tag =
+    let s = Db.connect_admin db in
+    Db.add_secrecy s tag;
+    s
+  in
+  Array.iteri
+    (fun g tag ->
+      ignore
+        (Db.exec (reader tag)
+           ("INSERT INTO r VALUES "
+           ^ String.concat ", "
+               (List.init 10 (fun i -> Printf.sprintf "(%d, %d)" ((10 * g) + i) i))
+           )))
+    tags;
+  let tasks () =
+    List.assoc "ifdb_domain_pool_tasks_total" (Db.metrics_snapshot db)
+  in
+  let before = tasks () in
+  Alcotest.(check int) "own scan sees its partition" 10
+    (List.length (Db.query (reader tags.(5)) "SELECT id, v FROM r"));
+  Alcotest.(check (float 0.)) "own scan ran no pool task" before (tasks ());
+  Alcotest.(check int) "fleet scan sees every partition" 640
+    (List.length (Db.query (reader fleet) "SELECT id, v FROM r"));
+  Alcotest.(check bool) "fleet scan ran on the pool" true (tasks () > before)
+
 (* ------------------------------------------------------------------ *)
 (* Index-nested-loop left join: the probe runs once per outer row      *)
 (* ------------------------------------------------------------------ *)
@@ -364,6 +403,8 @@ let suites =
           test_pool_uses_multiple_domains;
         Alcotest.test_case "morsel scan path runs" `Quick
           test_parallel_scan_path_engages;
+        Alcotest.test_case "own scans of a large table stay serial" `Quick
+          test_own_scan_stays_serial;
       ] );
     ( "parallel.joins",
       [

@@ -10,16 +10,21 @@
    - Polyinstantiated uniqueness: the identity a PRIMARY KEY protects
      is (key, label) (section 5.2.1).
 
-   A random labeled DML + query trace is replayed against a database
-   and against a list of (label mask, id, v) rows, and every outcome is
-   compared: result rows and their labels, affected-row counts, error
-   classes, the Write-Rule audit events and the final state.  Aggregate
-   queries — COUNT/SUM, a filtered SUM, GROUP BY, and GROUP BY through a
-   declassifying view — are compared by value and by label, a group's
-   label being the union of its contributing rows' labels.  A fixed
-   preload puts the table above two morsels, so at a multi-domain
-   setting ([IFDB_TEST_PARALLELISM]) queries take the merged morsel
-   path; on one domain the aggregates take the fused serial path. *)
+   A random labeled DML + query + vacuum trace is replayed against a
+   database and against a list of (label mask, id, v) rows, and every
+   outcome is compared: result rows and their labels, affected-row
+   counts, error classes, the Write-Rule audit events and the final
+   state.  Aggregate queries — COUNT/SUM, a filtered SUM, GROUP BY (on
+   a key that repeats along the scan and on one that changes row to
+   row), and GROUP BY through a declassifying view — are compared by
+   value and by label, a group's label being the union of its
+   contributing rows' labels.  A fixed preload puts the table above two
+   morsels, so at a multi-domain setting ([IFDB_TEST_PARALLELISM])
+   queries take the merged morsel path; on one domain the aggregates
+   take the fused serial path.  The preload leaves the {ta, tb}
+   partition empty, so traces create it, empty it (deletes, then a
+   vacuum) and refill it between the same reader's queries — each time
+   the reader's cached confinement verdict must be re-decided. *)
 
 module Db = Ifdb_core.Database
 module Errors = Ifdb_core.Errors
@@ -47,6 +52,7 @@ type op =
   | Delete of int * int        (* id, session label mask *)
   | Query of int               (* reader label mask *)
   | Aggregate of int * int     (* query in [agg_queries], reader mask *)
+  | Vacuum
 
 let pp_op = function
   | Insert (id, v, m) -> Printf.sprintf "Insert(%d,%d,%d)" id v m
@@ -54,6 +60,7 @@ let pp_op = function
   | Delete (id, m) -> Printf.sprintf "Delete(%d,%d)" id m
   | Query m -> Printf.sprintf "Query(%d)" m
   | Aggregate (q, m) -> Printf.sprintf "Aggregate(%d,%d)" q m
+  | Vacuum -> "Vacuum"
 
 let gen_op =
   QCheck.Gen.(
@@ -64,7 +71,8 @@ let gen_op =
         (2, map3 (fun i x m -> Update (i, x, m)) id v mask);
         (2, map2 (fun i m -> Delete (i, m)) id mask);
         (3, map (fun m -> Query m) mask);
-        (2, map2 (fun q m -> Aggregate (q, m)) (int_bound 3) mask);
+        (2, map2 (fun q m -> Aggregate (q, m)) (int_bound 4) mask);
+        (1, return Vacuum);
       ])
 
 let gen_trace = QCheck.Gen.(list_size (int_range 5 30) gen_op)
@@ -85,10 +93,12 @@ type outcome =
   | Flow_violation
   | Constraint_violation
 
-(* ids 100..139 under all four labels: 40 slots, above two morsels of
-   16, and disjoint from the trace's ids 0..7 *)
+(* ids 100..139 under three of the four labels: 40 slots, above two
+   morsels of 16, and disjoint from the trace's ids 0..7.  Mask 3 has
+   no preloaded row, so its partition is born, emptied and refilled by
+   the trace alone. *)
 let preload =
-  List.init 40 (fun i -> { mask = i mod 4; id = 100 + i; v = i mod 10 })
+  List.init 40 (fun i -> { mask = i mod 3; id = 100 + i; v = i mod 10 })
 
 let sorted rows = List.sort compare rows
 let visible ~reader r = r.mask land lnot reader = 0
@@ -101,6 +111,7 @@ let agg_queries =
     "SELECT SUM(v) FROM t WHERE v < 5";
     "SELECT v, COUNT(*) FROM t GROUP BY v";
     "SELECT v, COUNT(*), SUM(id) FROM tv GROUP BY v";
+    "SELECT id, COUNT(*), SUM(v) FROM t GROUP BY id";
   |]
 
 let model_aggregate rows q reader =
@@ -110,11 +121,12 @@ let model_aggregate rows q reader =
     | rs -> string_of_int (List.fold_left (fun acc r -> acc + f r) 0 rs)
   in
   let label rs = List.fold_left (fun acc r -> acc lor r.mask) 0 rs in
-  let by_v rs =
+  let by key rs =
     List.map
-      (fun v -> (v, List.filter (fun r -> r.v = v) rs))
-      (List.sort_uniq compare (List.map (fun r -> r.v) rs))
+      (fun k -> (k, List.filter (fun r -> key r = k) rs))
+      (List.sort_uniq compare (List.map key rs))
   in
+  let by_v = by (fun r -> r.v) in
   let seen = List.filter (visible ~reader) rows in
   sorted
     (match q with
@@ -128,7 +140,7 @@ let model_aggregate rows q reader =
           (fun (v, rs) ->
             ([ string_of_int v; string_of_int (List.length rs) ], label rs))
           (by_v seen)
-    | _ ->
+    | 3 ->
         let through_view =
           List.map
             (fun r -> { r with mask = r.mask land lnot 1 })
@@ -140,7 +152,15 @@ let model_aggregate rows q reader =
                 string_of_int (List.length rs);
                 sum (fun r -> r.id) rs ],
               label rs ))
-          (by_v through_view))
+          (by_v through_view)
+    | _ ->
+        List.map
+          (fun (id, rs) ->
+            ( [ string_of_int id;
+                string_of_int (List.length rs);
+                sum (fun r -> r.v) rs ],
+              label rs ))
+          (by (fun r -> r.id) seen))
 
 let model_step rows = function
   | Insert (id, v, m) ->
@@ -163,6 +183,7 @@ let model_step rows = function
           Count (List.length hit) )
   | Query m -> (rows, Rows (sorted (List.filter (visible ~reader:m) rows)))
   | Aggregate (q, m) -> (rows, Groups (model_aggregate rows q m))
+  | Vacuum -> (rows, Count 0)
 
 (* outcomes, final state (read under both tags), Write-Rule audit
    events *)
@@ -228,7 +249,8 @@ let replay ~parallelism ops =
             else None)
           preload
       in
-      ignore (run m ("INSERT INTO t VALUES " ^ String.concat ", " values)))
+      if values <> [] then
+        ignore (run m ("INSERT INTO t VALUES " ^ String.concat ", " values)))
     [ 0; 1; 2; 3 ];
   let outcomes =
     List.map
@@ -244,7 +266,10 @@ let replay ~parallelism ops =
         | Aggregate (q, m) -> (
             match Db.exec (session m) agg_queries.(q) with
             | Db.Rows { tuples; _ } -> Groups (sorted (List.map group_of tuples))
-            | _ -> Alcotest.fail "an aggregate query yields rows"))
+            | _ -> Alcotest.fail "an aggregate query yields rows")
+        | Vacuum ->
+            ignore (Db.vacuum db);
+            Count 0)
       ops
   in
   let final =
@@ -313,6 +338,44 @@ let test_pruning_observable () =
   | report ->
       Alcotest.failf "unexpected partition report (%d tables)"
         (List.length report)
+
+(* A reader's confinement verdict is cached per table, and vacuum
+   emptying the table's only hidden partition must retire it.  While
+   the hidden rows are stored (deleted or not, until vacuum reclaims
+   them) the reader's scan is vacuous and prunes one partition; once
+   they are vacuumed the table is empty, so there is no warning and
+   nothing left to prune. *)
+let test_vacuum_retires_verdict () =
+  let db = Db.create () in
+  let admin = Db.connect_admin db in
+  let owner = Db.create_principal admin ~name:"owner" in
+  let os = Db.connect db ~principal:owner in
+  let tag = Db.create_tag os ~name:"secret" () in
+  ignore (Db.exec admin "CREATE TABLE r (id INT PRIMARY KEY, v INT)");
+  let hs = Db.connect db ~principal:owner in
+  Db.add_secrecy hs tag;
+  ignore (Db.exec hs "INSERT INTO r VALUES (1, 10), (2, 20)");
+  let low = Db.connect db ~principal:owner in
+  let scan what ~vacuous ~pruned =
+    let before = Db.partitions_pruned db in
+    (match Db.exec low "SELECT id FROM r" with
+    | Db.Rows { tuples = []; _ } -> ()
+    | _ -> Alcotest.failf "%s: the low reader sees no row" what);
+    Alcotest.(check bool)
+      (what ^ ": vacuous-query warning")
+      vacuous
+      (List.exists
+         (fun d -> d.Ifdb_analysis.Diag.d_code = Ifdb_analysis.Diag.Vacuous_query)
+         (Db.session_warnings low));
+    Alcotest.(check int) (what ^ ": partitions pruned") pruned
+      (Db.partitions_pruned db - before)
+  in
+  scan "stored" ~vacuous:true ~pruned:1;
+  scan "again, from the cached verdict" ~vacuous:true ~pruned:1;
+  ignore (Db.exec hs "DELETE FROM r");
+  scan "deleted, awaiting vacuum" ~vacuous:true ~pruned:1;
+  Alcotest.(check int) "vacuum reclaims both rows" 2 (Db.vacuum db);
+  scan "vacuumed" ~vacuous:false ~pruned:0
 
 (* A serial aggregate runs its scan/filter source as one fused push
    pipeline, as the morsel-parallel path does: EXPLAIN ANALYZE still
@@ -407,9 +470,8 @@ let test_fused_aggregate_explain () =
 
 (* A materialized view pinned to one label partition by an exact
    [_label = {…}] filter must ignore commits that only write other
-   partitions — the satellite wiring label intervals into the commit
-   hook.  Correctness first: the view still reflects writes to its own
-   partition. *)
+   partitions.  Correctness first: the view still reflects writes to
+   its own partition. *)
 let test_ivm_partition_skip () =
   let db = Db.create () in
   let admin = Db.connect_admin db in
@@ -461,6 +523,8 @@ let suites =
         qcheck_model ~count:40 ~parallelism:1 "model oracle (serial)";
         qcheck_model ~count:12 ~parallelism:par_width "model oracle (parallel)";
         Alcotest.test_case "pruning observable" `Quick test_pruning_observable;
+        Alcotest.test_case "vacuum retires a cached verdict" `Quick
+          test_vacuum_retires_verdict;
         Alcotest.test_case "fused serial aggregate in EXPLAIN ANALYZE" `Quick
           test_fused_aggregate_explain;
         Alcotest.test_case "IVM skips foreign partitions" `Quick

@@ -304,15 +304,16 @@ let test_heap_partitions () =
         let expected = ref [] and merged = ref [] in
         Heap.iter h (fun v ->
             if keep (lid_of v) then expected := v.Heap.vid :: !expected);
-        Heap.iter_merge h ~keep (fun v -> merged := v.Heap.vid :: !merged);
+        let kept = Array.of_list kept in
+        Heap.iter_merge h ~kept (fun v -> merged := v.Heap.vid :: !merged);
         let name =
           Printf.sprintf "%s: iter_merge keeping [%s]" phase
-            (String.concat ";" (List.map string_of_int kept))
+            (String.concat ";" (Array.to_list (Array.map string_of_int kept)))
         in
         Alcotest.(check (list int)) name (List.rev !expected)
           (List.rev !merged);
         Alcotest.(check (list int)) (name ^ " (seq)") (List.rev !expected)
-          (List.of_seq (Seq.map (fun v -> v.Heap.vid) (Heap.seq_merge h ~keep))))
+          (List.of_seq (Seq.map (fun v -> v.Heap.vid) (Heap.seq_merge h ~kept))))
       [ []; [ 0 ]; [ 1 ]; [ 2 ]; [ 0; 2 ]; [ 0; 1; 2 ] ]
   in
   check_merge "before vacuum";
@@ -411,6 +412,10 @@ let heap_merge_prop =
        (fun (_, lids, kept, lo, hi, vacuum_mod) ->
          let h, bp = heap_of_lids lids in
          let keep lid = lid >= 0 && lid < Array.length kept && kept.(lid) in
+         let kept_ids =
+           Array.of_list
+             (List.filter keep (List.init (Array.length kept) Fun.id))
+         in
          let agree () =
            let vids_of f =
              touches bp (fun () ->
@@ -418,11 +423,13 @@ let heap_merge_prop =
                  f (fun v -> acc := v.Heap.vid :: !acc);
                  List.rev !acc)
            in
-           let ranged = vids_of (Heap.iter_merge_range h ~keep ~lo ~hi) in
-           let whole = vids_of (Heap.iter_merge h ~keep) in
+           let ranged =
+             vids_of (Heap.iter_merge_range h ~kept:kept_ids ~lo ~hi)
+           in
+           let whole = vids_of (Heap.iter_merge h ~kept:kept_ids) in
            let lazy_whole =
              touches bp (fun () ->
-                 Heap.seq_merge h ~keep
+                 Heap.seq_merge h ~kept:kept_ids
                  |> Seq.map (fun v -> v.Heap.vid)
                  |> List.of_seq)
            in
@@ -441,7 +448,7 @@ let test_seq_merge_lazy () =
   let h, bp = heap_of_lids (Array.init 60_000 (fun i -> i mod 64)) in
   let first, n =
     touches bp (fun () ->
-        Heap.seq_merge h ~keep:(fun _ -> true)
+        Heap.seq_merge h ~kept:(Array.init 64 Fun.id)
         |> Seq.take 1
         |> Seq.map (fun v -> v.Heap.vid)
         |> List.of_seq)
