@@ -158,8 +158,8 @@ let drive_groups = 16
    reads under the compound, so every confinement check is a real flow
    derivation (member -> compound), not a subset test.  Returns the
    database and the analyst's session. *)
-let drives ?(ifc = true) ?(metrics = true) ?(parallelism = 1) ~rows () =
-  let db = Db.create ~ifc ~metrics ~parallelism () in
+let drives ?(ifc = true) ?(parallelism = 1) ~rows () =
+  let db = Db.create ~ifc ~parallelism () in
   let admin = Db.connect_admin db in
   let all_drives = Db.create_tag admin ~name:"all_drives" () in
   let users =
@@ -690,41 +690,6 @@ let ablation_labelcache () =
   line "ifc on, flow cache" 1;
   Printf.printf "IFC-on overhead vs baseline: %.2fx (acceptance: within 2x)\n"
     (best.(1) /. best.(0))
-
-(* The observability acceptance bound: the labelcache scan workload —
-   IFC on, every row through a confinement check, the densest
-   instrument traffic a read gets — must run within 5% of the same
-   workload on a registry-disabled database.  The statement path's only
-   always-on costs are one [Atomic.incr], one histogram observe and two
-   clock reads per statement, all no-ops when the registry is off. *)
-let ablation_metrics () =
-  hr "Ablation: metrics registry on vs off (observability overhead)";
-  let rows = if !quick then 2_000 else 10_000 in
-  let scans = if !quick then 10 else 30 in
-  let on_fix = drives ~rows () in
-  let off_fix = drives ~metrics:false ~rows () in
-  let best =
-    best_of ~warm:true ~rounds:4
-      (Array.map
-         (fun (_, analyst) -> query_arm analyst count_drives scans)
-         [| on_fix; off_fix |])
-  in
-  let on_ms = best.(0) *. 1e3 and off_ms = best.(1) *. 1e3 in
-  let overhead = ((on_ms /. off_ms) -. 1.0) *. 100.0 in
-  Printf.printf
-    "%d-row labeled scan x %d: metrics off %.3f ms, metrics on %.3f ms \
-     (%+.1f%%; acceptance <= 5%%: %b)\n"
-    rows scans off_ms on_ms overhead (overhead <= 5.0);
-  record_json
-    [
-      ("workload", jstr "metrics_ablation");
-      ("rows", jint rows);
-      ("scans", jint scans);
-      ("ms_per_scan_metrics_off", jfloat off_ms);
-      ("ms_per_scan_metrics_on", jfloat on_ms);
-      ("overhead_pct", jfloat overhead);
-      ("metrics", metrics_json (fst on_fix));
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* Parallel execution: domain-count sweep                              *)
@@ -1274,9 +1239,7 @@ let trace_out : string option ref = ref None
 
 let spans_bench () =
   hr "Span tracing: sampled-off overhead and commit-path breakdown";
-  (* same workload shape as prepared_micro, so us_sample_off is
-     directly comparable to earlier BENCH_PR*.json prepared numbers
-     (scripts/check_bench_trend.py does that comparison) *)
+  (* same workload shape as prepared_micro *)
   let rows = if !quick then 500 else 1000 in
   let reps = if !quick then 1_500 else 8_000 in
   let _off_db, off_s = point_fixture ~rows () in
@@ -1297,8 +1260,7 @@ let spans_bench () =
     "sampling 1/32 (trace_sample=32)" us_on overhead_on;
   Printf.printf
     "sampled-off path cost: one atomic fetch-and-add per statement, no \
-     clock reads; cross-PR <=5%% check against the pre-span baseline runs \
-     in scripts/check_bench_trend.py\n";
+     clock reads\n";
   Printf.printf "sampled %d statement(s) into the on-run's ring\n"
     (Span.count (Db.spans on_db));
   record_json
@@ -1437,7 +1399,7 @@ let micro () =
 
 let all =
   [ "fig3"; "fig4"; "fig5"; "sensor"; "fig6"; "ablations"; "labelcache";
-    "parallel"; "writepath"; "views"; "obs"; "prepared"; "spans"; "micro" ]
+    "parallel"; "writepath"; "views"; "prepared"; "spans"; "micro" ]
 
 let run_one = function
   | "fig3" -> fig3 ()
@@ -1450,7 +1412,6 @@ let run_one = function
   | "parallel" -> parallel_sweep ()
   | "writepath" -> writepath ()
   | "views" -> views ()
-  | "obs" -> ablation_metrics ()
   | "prepared" -> prepared_bench ()
   | "spans" -> spans_bench ()
   | "micro" -> micro ()

@@ -292,9 +292,7 @@ let run_command st line =
               List.iter
                 (fun ps ->
                   let label =
-                    if ps.Heap.ps_lid < 0 then "(uninterned)"
-                    else
-                      label_string st (Label_store.label_of lstore ps.Heap.ps_lid)
+                    label_string st (Label_store.label_of lstore ps.Heap.ps_lid)
                   in
                   Printf.printf
                     "  %-24s %6d version(s) %6d live %5d page(s)\n" label

@@ -175,9 +175,9 @@ let causal_revoke ctx tag =
    heap's per-label version counts, the same source PR 1's scan prewarm
    uses), split by whether each partition flows to the destination
    label.  Counts include versions awaiting vacuum, so they are a
-   conservative superset of what any snapshot sees; [p_unknown] counts
-   live versions whose label was never interned (tuples built outside
-   the statement path), about which nothing can be claimed. *)
+   conservative superset of what any snapshot sees.  [p_unknown]
+   counts the rows about which nothing can be claimed: only a symbolic
+   trace makes any (see [p_maybe]). *)
 type parts = {
   p_visible : (Label.t * int) list;
   p_hidden : (Label.t * int) list;
@@ -191,19 +191,17 @@ type parts = {
 
 let partitions ctx (rt : rtable) ~dst =
   let dst_id = Label_store.intern ctx.an_store dst in
-  let vis = ref [] and hid = ref [] and unknown = ref 0 in
+  let vis = ref [] and hid = ref [] in
   (match rt.rt_heap with
   | None -> ()
   | Some heap ->
       Heap.iter_label_counts heap (fun lid count ->
-          if count > 0 then
-            if lid < 0 then unknown := !unknown + count
-            else begin
-              let l = Label_store.label_of ctx.an_store lid in
-              if Label_store.flows_id ctx.an_store ~src:lid ~dst:dst_id then
-                vis := (l, count) :: !vis
-              else hid := (l, count) :: !hid
-            end));
+          if count > 0 then begin
+            let l = Label_store.label_of ctx.an_store lid in
+            if Label_store.flows_id ctx.an_store ~src:lid ~dst:dst_id then
+              vis := (l, count) :: !vis
+            else hid := (l, count) :: !hid
+          end));
   (* heap iteration order is not deterministic; diagnostics are *)
   let sort = List.sort (fun (a, _) (b, _) -> Label.compare a b) in
   let events =
@@ -212,8 +210,7 @@ let partitions ctx (rt : rtable) ~dst =
     | None -> []
   in
   if events = [] then
-    { p_visible = sort !vis; p_hidden = sort !hid; p_unknown = !unknown;
-      p_maybe = [] }
+    { p_visible = sort !vis; p_hidden = sort !hid; p_unknown = 0; p_maybe = [] }
   else begin
     (* Fold the script's own insert/delete events over the committed
        counts.  Per label the state is three-valued: provably non-empty
@@ -242,7 +239,7 @@ let partitions ctx (rt : rtable) ~dst =
             | Some (`NE _) -> set l `MB
             | Some `MB | None -> ()))
       events;
-    let vis' = ref [] and hid' = ref [] and unknown' = ref !unknown in
+    let vis' = ref [] and hid' = ref [] and unknown' = ref 0 in
     let maybe = ref [] in
     List.iter
       (fun (l, st) ->

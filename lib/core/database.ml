@@ -109,7 +109,7 @@ type stmt_plan =
    declassify labels, table records and index choice were all resolved
    against a specific catalog and authority state, so every entry is
    stamped with the versions it was planned under and discarded when
-   either moves.  Scan-time confinement ([partition_scan_filter]) is
+   either moves.  Scan-time confinement ([scan_partitions]) is
    looked up per execution from the session's label — cached in the
    heap under its own stamps, never baked into the plan. *)
 type plan_entry = {
@@ -487,19 +487,19 @@ let current_txn s what =
   | Some txn -> txn
   | None -> Errors.sql "%s outside a transaction" what
 
-(* When an EXPLAIN ANALYZE trace is active, wrap a scan's label filter
-   so every confinement decision is tallied per table.  Atomic counters
-   make one wrapper safe for both the serial and the morsel-parallel
-   paths; untraced statements never reach this closure. *)
-let trace_scan_filter s ~heap readable =
+(* A scan's per-row test: MVCC visibility only, since confinement
+   already chose the partitions.  Under an EXPLAIN ANALYZE trace it also
+   tallies the visible tuples per table; atomic counters make one
+   closure safe for both the serial and the morsel-parallel paths. *)
+let scan_visible s ~heap txn : Heap.version -> bool =
+  let mgr = s.sdb.mgr in
   match s.s_trace with
-  | None -> readable
+  | None -> fun v -> Manager.visible mgr txn v
   | Some tr ->
       let sc = Trace.scan_entry tr (Heap.name heap) in
       fun v ->
-        let ok = readable v in
-        Atomic.incr sc.Trace.sc_scanned;
-        if not ok then Atomic.incr sc.Trace.sc_pruned;
+        let ok = Manager.visible mgr txn v in
+        if ok then Atomic.incr sc.Trace.sc_scanned;
         ok
 
 let trace_scan_skipped s ~heap =
@@ -520,14 +520,13 @@ let trace_scan_skipped s ~heap =
    changes, then read back from the heap's verdict cache.  A pruned
    partition's directory, slots and pages are never visited, so a scan
    makes at most one flow check per distinct label and, once its
-   reader's verdict is cached, none.  The returned residual filter only
-   re-derives flows for uninterned tuples (label id -1, built outside
-   the statement path).  It keeps no per-call mutable state, so one
-   closure serves the serial and the morsel-parallel paths alike.
+   reader's verdict is cached, none.  Every stored tuple carries its
+   partition's interned label, so a kept tuple needs no check of its
+   own.
 
-   Returns (kept, residual): [kept] are the label ids of the partitions
-   the merged-scan primitives enumerate, which are also the scan's
-   serializability footprint; when it is empty no live partition can
+   Returns the label ids of the kept partitions: the ones the
+   merged-scan primitives enumerate, which are also the scan's
+   serializability footprint.  When it is empty no live partition can
    flow to the destination, so the scan provably returns nothing and
    the caller may skip it without touching a page. *)
 let scan_verdict s ~heap ~dst =
@@ -535,22 +534,17 @@ let scan_verdict s ~heap ~dst =
   Catalog.confine db.lstore heap
     ~dst:(if db.ifc then Label_store.intern db.lstore dst else -1)
 
-let partition_scan_filter s ~heap ~extra :
-    int array * (Heap.version -> bool) =
-  let db = s.sdb in
-  let dst = Label.union s.s_label extra in
-  let { Heap.kept; pruned } = scan_verdict s ~heap ~dst in
-  if not db.ifc then
-    (* no confinement: every partition is kept, and the footprint still
-       names them so partition-level write locks conflict correctly *)
-    (kept, trace_scan_filter s ~heap (fun _ -> true))
-  else begin
-    if pruned > 0 then ignore (Atomic.fetch_and_add db.pruned_parts pruned);
+let scan_partitions s ~heap ~extra : int array =
+  let { Heap.kept; pruned } =
+    scan_verdict s ~heap ~dst:(Label.union s.s_label extra)
+  in
+  if pruned > 0 then begin
+    ignore (Atomic.fetch_and_add s.sdb.pruned_parts pruned);
     (* an EXPLAIN ANALYZE trace still reports the tuples confinement
        kept from this statement, even though they were pruned without
        being scanned *)
-    (match s.s_trace with
-    | Some tr when pruned > 0 ->
+    match s.s_trace with
+    | Some tr ->
         let pruned_tuples = ref 0 in
         Heap.iter_label_counts heap (fun lid count ->
             if not (Array.mem lid kept) then
@@ -559,36 +553,18 @@ let partition_scan_filter s ~heap ~extra :
           (Atomic.fetch_and_add
              (Trace.scan_entry tr (Heap.name heap)).Trace.sc_pruned
              !pruned_tuples)
-    | Some _ | None -> ());
-    let residual =
-      trace_scan_filter s ~heap (fun (v : Heap.version) ->
-          Tuple.label_id v.Heap.tuple >= 0
-          || Authority.flows db.auth ~src:(Tuple.label v.Heap.tuple) ~dst)
-    in
-    (kept, residual)
-  end
-
-(* The serializability footprint of a pruned scan: the directory key
-   (a partition created later might carry a label this scan should
-   have conflicted with) plus each visited partition.  Pruned
-   partitions stay out — a write under a label that provably does not
-   flow to this session cannot change what the scan returned. *)
-let note_partition_reads s txn heap visited =
-  let mgr = s.sdb.mgr in
-  let name = Heap.name heap in
-  Manager.note_read mgr txn (Manager.directory_key name);
-  Array.iter
-    (fun lid -> Manager.note_read mgr txn (Manager.partition_key name lid))
-    visited
+    | None -> ()
+  end;
+  kept
 
 (* Open a sequential scan of [heap]: decide its partitions and record
    its footprint.  [None] when no partition can flow to the session: the
    scan provably returns nothing and touches no page. *)
 let open_scan s ~heap ~extra =
   let txn = current_txn s "scan" in
-  let kept, residual = partition_scan_filter s ~heap ~extra in
-  note_partition_reads s txn heap kept;
-  if Array.length kept > 0 then Some (txn, kept, residual)
+  let kept = scan_partitions s ~heap ~extra in
+  Manager.note_scan s.sdb.mgr txn heap ~kept;
+  if Array.length kept > 0 then Some (kept, scan_visible s ~heap txn)
   else begin
     trace_scan_skipped s ~heap;
     None
@@ -599,11 +575,7 @@ let table_heap s table = (Catalog.table s.sdb.cat table).Catalog.tbl_heap
 let scan_versions s ~heap ~extra : Heap.version Seq.t =
   match open_scan s ~heap ~extra with
   | None -> Seq.empty
-  | Some (txn, kept, residual) ->
-      let mgr = s.sdb.mgr in
-      Seq.filter
-        (fun v -> Manager.visible mgr txn v && residual v)
-        (Heap.seq_merge heap ~kept)
+  | Some (kept, visible) -> Seq.filter visible (Heap.seq_merge heap ~kept)
 
 (* A sequential scan as a push source cut into vid ranges of [morsel]
    slots: the same confinement, visibility and footprint as
@@ -612,15 +584,14 @@ let scan_versions s ~heap ~extra : Heap.version Seq.t =
    per-row closure chain.  Ranges stay global vid ranges: each
    merge-scans only the kept partitions' slice of its range, and
    concatenated in order they give the serial merged scan's output.
-   [kept] and [residual] are frozen before any range runs, so worker
+   [kept] and [visible] are frozen before any range runs, so worker
    domains read them lock-free; the snapshots and status table that
    visibility reads are read-only while a read-only parallel section
    runs.  A label-empty scan has no ranges. *)
 let merge_source s ~heap ~extra ~morsel : Executor.morsel_source =
   match open_scan s ~heap ~extra with
   | None -> { Executor.ms_morsels = 0; ms_run = (fun _ _ -> ()) }
-  | Some (txn, kept, residual) ->
-      let mgr = s.sdb.mgr in
+  | Some (kept, visible) ->
       let slots = Heap.slot_count heap in
       {
         Executor.ms_morsels =
@@ -629,9 +600,7 @@ let merge_source s ~heap ~extra ~morsel : Executor.morsel_source =
           (fun i emit ->
             Heap.iter_merge_range heap ~kept ~lo:(i * morsel)
               ~hi:((i + 1) * morsel)
-              (fun v ->
-                if Manager.visible mgr txn v && residual v then
-                  emit v.Heap.tuple));
+              (fun v -> if visible v then emit v.Heap.tuple));
       }
 
 (* Cut a table into morsels for the parallel executor.  Returns [None]
@@ -655,13 +624,13 @@ let morsel_scan s ~table ~extra : Executor.morsel_source option =
    stops early (LIMIT, probe join) walks only what it needs. *)
 let index_versions s ~heap ~idx ~prefix ~lo ~hi ~extra : Heap.version Seq.t =
   let txn = current_txn s "scan" in
-  let kept, residual = partition_scan_filter s ~heap ~extra in
-  note_partition_reads s txn heap kept;
+  let kept = scan_partitions s ~heap ~extra in
+  Manager.note_scan s.sdb.mgr txn heap ~kept;
   if Array.length kept = 0 then Seq.empty
   else
     Catalog.seq_index_prefix idx ~kept ~prefix ~lo ~hi
     |> Seq.filter_map (fun (_key, vid) -> Heap.get_opt heap vid)
-    |> Seq.filter (fun v -> Manager.visible s.sdb.mgr txn v && residual v)
+    |> Seq.filter (scan_visible s ~heap txn)
 
 let scan_prefix_versions s ~table ~index ~prefix ~lo ~hi ~extra =
   let tbl = Catalog.table s.sdb.cat table in
@@ -796,9 +765,10 @@ let exec_ctx s : Executor.ctx =
                                  visited, so lock at the same
                                  granularity writers use *)
                               let heap = t.Catalog.tbl_heap in
-                              note_partition_reads s txn heap
-                                (Catalog.confine db.lstore heap ~dst:(-1))
-                                  .Heap.kept
+                              Manager.note_scan db.mgr txn heap
+                                ~kept:
+                                  (Catalog.confine db.lstore heap ~dst:(-1))
+                                    .Heap.kept
                           | None -> ())
                         (Ivm.base_tables db.ivm view)
                   | None -> ());
@@ -853,7 +823,7 @@ let audit_declassify s plan = if s.sdb.ifc then audit_plan_declassify s plan
    can feed the view's state, so commit deltas under any other label
    are provably no-ops.  Conservative by construction: a table scanned
    anywhere without such a pin — or with two different pins — stays
-   fully relevant, and uninterned writes (lid < 0) are never pruned. *)
+   fully relevant. *)
 let derive_view_affects db plan =
   let pins : (string, Label.t option) Hashtbl.t = Hashtbl.create 4 in
   let note table pin =
@@ -898,9 +868,7 @@ let derive_view_affects db plan =
       (fun table lid ->
         match List.assoc_opt (norm table) pinned with
         | None -> true
-        | Some pin ->
-            lid < 0
-            || Label.equal pin (Label_store.label_of db.lstore lid))
+        | Some pin -> Label.equal pin (Label_store.label_of db.lstore lid))
 
 let register_materialized s name =
   let db = s.sdb in
@@ -1038,21 +1006,17 @@ let do_commit s txn =
     (* label-grouped check: a bulk write set of N tuples under K
        distinct labels costs K flow-cache probes, not N — the verdict
        per interned label id is memoized for the duration of this
-       commit.  Raw derivation only for tuples that never passed
-       through the statement path. *)
+       commit *)
     let verdicts : (int, bool) Hashtbl.t = Hashtbl.create 8 in
     let commit_flows (w : Manager.write) =
-      if w.Manager.w_label_id >= 0 then
-        match Hashtbl.find_opt verdicts w.Manager.w_label_id with
-        | Some ok -> ok
-        | None ->
-            let ok =
-              Label_store.flows_id store ~src:commit_lid
-                ~dst:w.Manager.w_label_id
-            in
-            Hashtbl.add verdicts w.Manager.w_label_id ok;
-            ok
-      else Authority.flows s.sdb.auth ~src:s.s_label ~dst:w.Manager.w_label
+      match Hashtbl.find_opt verdicts w.Manager.w_label_id with
+      | Some ok -> ok
+      | None ->
+          let ok =
+            Label_store.flows_id store ~src:commit_lid ~dst:w.Manager.w_label_id
+          in
+          Hashtbl.add verdicts w.Manager.w_label_id ok;
+          ok
     in
     let violating =
       List.find_opt (fun w -> not (commit_flows w)) (Manager.writes txn)
@@ -1099,11 +1063,7 @@ let do_commit s txn =
                    let sign =
                      match w.Manager.w_kind with `Insert -> 1 | `Delete -> -1
                    in
-                   let lid =
-                     if w.Manager.w_label_id >= 0 then w.Manager.w_label_id
-                     else Label_store.intern db.lstore w.Manager.w_label
-                   in
-                   Some (table, sign, v.Heap.tuple, lid)
+                   Some (table, sign, v.Heap.tuple)
                | None ->
                    (* version reclaimed under us: this delta is
                       unrecoverable, so force a refresh instead *)
@@ -1152,13 +1112,10 @@ let interned_label s label =
     let id = Label_store.intern s.sdb.lstore label in
     (Label_store.label_of s.sdb.lstore id, id)
 
-(* Compare a stored tuple's label with [label] (whose interned id is
-   [lid]); id equality when both sides are interned, raw equality
-   otherwise. *)
-let tuple_label_matches (v : Heap.version) label lid =
-  let tl = Tuple.label_id v.Heap.tuple in
-  if tl >= 0 && lid >= 0 then tl = lid
-  else Label.equal (Tuple.label v.Heap.tuple) label
+(* Does a stored tuple carry exactly the label interned as [lid]?  Ids
+   are canonical per label, so this is the exact-label comparison. *)
+let tuple_label_matches (v : Heap.version) lid =
+  Tuple.label_id v.Heap.tuple = lid
 
 let check_schema tbl values =
   match Schema.check_values tbl.Catalog.tbl_schema values with
@@ -1196,7 +1153,7 @@ let check_label_constraints s tbl tuple =
    nothing); a same-key tuple under any other label — hidden or not —
    polyinstantiates instead.  Label constraints (section 5.2.4) are the
    tool for applications that want to forbid that. *)
-let check_uniques s txn tbl values label lid =
+let check_uniques s txn tbl values lid =
   List.iter
     (fun idx ->
       if idx.Catalog.idx_unique then begin
@@ -1207,14 +1164,12 @@ let check_uniques s txn tbl values label lid =
               match Heap.get_opt tbl.Catalog.tbl_heap vid with
               | None -> ()
               | Some v ->
-                  if
-                    Manager.visible s.sdb.mgr txn v
-                    && ((not s.sdb.ifc) || tuple_label_matches v label lid)
+                  if Manager.visible s.sdb.mgr txn v && tuple_label_matches v lid
                   then
                     constraint_
                       "duplicate key value violates unique constraint %s"
                       idx.Catalog.idx_name)
-            (Catalog.index_find_label idx key ~lid:(if s.sdb.ifc then lid else 0))
+            (Catalog.index_find_label idx key ~lid)
       end)
     tbl.Catalog.tbl_indexes
 
@@ -1346,8 +1301,7 @@ let resolve_declared_tags s names =
 let insert_tuple s txn tbl tuple ~declared =
   check_schema tbl (Tuple.values tuple);
   check_label_constraints s tbl tuple;
-  check_uniques s txn tbl (Tuple.values tuple) (Tuple.label tuple)
-    (Tuple.label_id tuple);
+  check_uniques s txn tbl (Tuple.values tuple) (Tuple.label_id tuple);
   check_foreign_keys s txn tbl tuple ~declared;
   let v = Manager.record_insert s.sdb.mgr txn tbl.Catalog.tbl_heap tuple in
   Catalog.insert_into_indexes s.sdb.cat tbl (Tuple.values tuple)
@@ -1421,17 +1375,13 @@ let insert_tuples_batch s txn tbl tuples ~declared =
       let values = Tuple.values tuple in
       check_schema tbl values;
       check_label_constraints s tbl tuple;
-      check_uniques s txn tbl values (Tuple.label tuple) (Tuple.label_id tuple);
+      check_uniques s txn tbl values (Tuple.label_id tuple);
       List.iter
         (fun idx ->
           if idx.Catalog.idx_unique then begin
             let key = Catalog.index_key idx values in
             if not (Array.exists Value.is_null key) then begin
-              let k =
-                ( idx.Catalog.idx_name,
-                  key,
-                  if s.sdb.ifc then Tuple.label_id tuple else 0 )
-              in
+              let k = (idx.Catalog.idx_name, key, Tuple.label_id tuple) in
               if Hashtbl.mem batch_keys k then
                 constraint_
                   "duplicate key value violates unique constraint %s"
@@ -1478,12 +1428,10 @@ let insert_many s ~table rows =
    hoisted, because triggers may raise it mid-statement; the comparison
    itself is two ints. *)
 let check_write_rule s (v : Heap.version) action =
-  let slid =
-    if s.sdb.ifc && Tuple.label_id v.Heap.tuple >= 0 then
-      Label_store.intern s.sdb.lstore s.s_label
-    else -1
-  in
-  if s.sdb.ifc && not (tuple_label_matches v s.s_label slid) then begin
+  if
+    s.sdb.ifc
+    && not (tuple_label_matches v (Label_store.intern s.sdb.lstore s.s_label))
+  then begin
     audit_emit s ~kind:Audit.Write_rule_rejection
       ~tags:(Label.to_list (Tuple.label v.Heap.tuple))
       ~detail:
@@ -1799,7 +1747,7 @@ let exec_update s txn up =
         || Array.exists
              (fun i -> Value.compare values.(i) old_values.(i) <> 0)
              up.up_unique_sets
-      then check_uniques s txn tbl values wlabel wlid;
+      then check_uniques s txn tbl values wlid;
       check_foreign_keys s txn tbl new_tuple ~declared:Label.empty;
       let nv = Manager.record_insert s.sdb.mgr txn tbl.Catalog.tbl_heap new_tuple in
       Catalog.insert_into_indexes s.sdb.cat tbl values ~lid:wlid nv.Heap.vid;
@@ -2411,10 +2359,7 @@ and exec_execute s ex_name ex_args : result =
    [in_statement_txn].) *)
 let exec_stmt_guarded ?cache ?parse s stmt =
   let db = s.sdb in
-  (* clock reads only when someone will consume them: the latency
-     histogram (metrics on) or the slow-query log (threshold set) *)
-  let timed = Metrics.enabled db.metrics || db.slow_ns <> max_int in
-  let t0 = if timed then Span.now_ns () else 0 in
+  let t0 = Span.now_ns () in
   (* span sampling: one atomic fetch-and-add; when it says no (or
      sampling is off), [sctx] is [None] and every instrumentation
      point below reduces to a domain-local load.  A sampled statement
@@ -2474,22 +2419,19 @@ let exec_stmt_guarded ?cache ?parse s stmt =
               ~table:d_table ~label:s.s_label ~definite:false
         | _ -> ());
         Metrics.incr db.mx.mx_statements;
-        if timed then begin
-          let ns = Span.now_ns () - t0 in
-          Metrics.observe db.mx.mx_latency (float_of_int ns /. 1e9);
-          if ns >= db.slow_ns then begin
-            Metrics.incr db.mx.mx_slow;
-            let rows =
-              match result with
-              | Rows { tuples; _ } -> List.length tuples
-              | Affected n -> n
-              | Done _ -> 0
-            in
-            Trace.slow_log_add db.slow
-              ~trace:
-                (match sctx with Some ctx -> Span.trace_id ctx | None -> -1)
-              ~sql:(stmt_display s stmt) ~ns ~rows
-          end
+        let ns = Span.now_ns () - t0 in
+        Metrics.observe db.mx.mx_latency (float_of_int ns /. 1e9);
+        if ns >= db.slow_ns then begin
+          Metrics.incr db.mx.mx_slow;
+          let rows =
+            match result with
+            | Rows { tuples; _ } -> List.length tuples
+            | Affected n -> n
+            | Done _ -> 0
+          in
+          Trace.slow_log_add db.slow
+            ~trace:(match sctx with Some ctx -> Span.trace_id ctx | None -> -1)
+            ~sql:(stmt_display s stmt) ~ns ~rows
         end;
         result
       with
@@ -2949,7 +2891,7 @@ let register_component_metrics reg ~lstore ~bp ~the_wal ~gc ~audit ~ivm ~cat
 let create ?(ifc = true) ?(isolation = Snapshot) ?(capacity_pages = None)
     ?(miss_cost_ns = 100_000) ?(seed = 0x1FDB) ?(parallelism = 1)
     ?(morsel_size = 1024) ?(commit_batch = 1) ?(sync_commit = false)
-    ?(strict_analysis = false) ?(metrics = true) ?slow_query_ms
+    ?(strict_analysis = false) ?slow_query_ms
     ?(audit_wal = false) ?(trace_sample = 0) () =
   let parallelism = max 1 parallelism in
   let morsel_size = max 16 morsel_size in
@@ -2983,18 +2925,11 @@ let create ?(ifc = true) ?(isolation = Snapshot) ?(capacity_pages = None)
               && (v.Heap.xmax = 0
                  || Manager.status_of mgr v.Heap.xmax <> Manager.Committed)
             in
-            if not live then None
-            else
-              let lid = Tuple.label_id v.Heap.tuple in
-              let lid =
-                if lid >= 0 then lid
-                else Label_store.intern lstore (Tuple.label v.Heap.tuple)
-              in
-              Some (v.Heap.tuple, lid))
+            if live then Some v.Heap.tuple else None)
           (Heap.to_seq tbl.Catalog.tbl_heap))
       ()
   in
-  let reg = Metrics.create ~enabled:metrics () in
+  let reg = Metrics.create () in
   let audit =
     let sink =
       if audit_wal then

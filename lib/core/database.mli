@@ -57,7 +57,6 @@ val create :
   ?commit_batch:int ->
   ?sync_commit:bool ->
   ?strict_analysis:bool ->
-  ?metrics:bool ->
   ?slow_query_ms:float ->
   ?audit_wal:bool ->
   ?trace_sample:int ->
@@ -97,11 +96,10 @@ val create :
     analyzer output is still attached to the session
     ({!session_warnings}).
 
-    [metrics] (default on) controls the metrics registry.  On, the
-    statement path maintains counters and a latency histogram and the
-    registry exports component stats (label store, buffer pool, WAL,
-    group commit, domain pool, audit log) as pull gauges; off, every
-    instrument is a no-op and {!metrics_snapshot} returns [[]].
+    The metrics registry is always on: the statement path maintains
+    counters and a latency histogram and the registry exports
+    component stats (label store, buffer pool, WAL, group commit,
+    domain pool, audit log) as pull gauges ({!metrics_snapshot}).
 
     [slow_query_ms] (default unset) enables the slow-query ring buffer:
     statements at or above the threshold are recorded with their SQL,
@@ -467,8 +465,7 @@ val table_names : t -> string list
     statistics (label store, buffer pool, WAL, group commit, domain
     pool, audit log) behind stable [ifdb_*] metric names, plus counters
     and a latency histogram maintained by the statement path itself.
-    Created with [~metrics:false] every instrument is a no-op whose
-    cost is one immediate boolean test. *)
+    Every instrument update is one atomic operation. *)
 
 val metrics : t -> Ifdb_obs.Metrics.t
 (** The instance's metrics registry, for registering extra instruments
@@ -476,8 +473,7 @@ val metrics : t -> Ifdb_obs.Metrics.t
 
 val metrics_snapshot : t -> (string * float) list
 (** Current value of every metric, in registration order.  Histograms
-    contribute [name_count] and [name_sum].  Empty when the registry is
-    disabled. *)
+    contribute [name_count] and [name_sum]. *)
 
 val metrics_prometheus : t -> string
 (** The registry in Prometheus text exposition format ([# HELP] /

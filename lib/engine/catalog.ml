@@ -18,10 +18,9 @@ type index = {
   idx_cols : int array;
   idx_unique : bool;
   idx_segs : (int, Btree.t) Hashtbl.t;
-      (* one B-tree segment per interned label id (-1 groups the
-         uninterned), so an index scan enumerates only the segments
-         whose label flows to the session — the index analogue of
-         per-partition page runs *)
+      (* one B-tree segment per interned label id, so an index scan
+         enumerates only the segments whose label flows to the session —
+         the index analogue of per-partition page runs *)
 }
 
 type table = {
@@ -91,8 +90,9 @@ let name_taken t name = find_table t name <> None || find_view t name <> None
 
 let index_key idx values = Array.map (fun i -> values.(i)) idx.idx_cols
 
-(* The segment holding postings for label id [lid] (created on first
-   use). *)
+(* The segment holding postings for label id [lid], created by the
+   first insert under it.  Readers use [Hashtbl.find_opt], so a probe
+   never creates one. *)
 let seg_of idx lid =
   match Hashtbl.find_opt idx.idx_segs lid with
   | Some tree -> tree
@@ -197,24 +197,26 @@ let bulk_insert_into_indexes _t tbl rows =
 
 let remove_from_indexes _t tbl values ~lid vid =
   List.iter
-    (fun idx -> Btree.remove (seg_of idx lid) (index_key idx values) vid)
+    (fun idx ->
+      match Hashtbl.find_opt idx.idx_segs lid with
+      | Some tree -> Btree.remove tree (index_key idx values) vid
+      | None -> ())
     tbl.tbl_indexes
 
 (* --- confinement ----------------------------------------------------
 
    The Query by Label rule's partition decision (section 4.2), made in
    one place for the executor and the analyzer alike: a partition is
-   kept when its label flows to the destination; uninterned tuples
-   (-1) are kept and judged per tuple by the caller.  The decision
-   reads only the two labels and the authority state, which is exactly
-   what the verdict's generation stamp pins. *)
+   kept iff its label flows to the destination.  The decision reads
+   only the two labels and the authority state, which is exactly what
+   the verdict's generation stamp pins. *)
 
 let confine store heap ~dst =
   if dst < 0 then Heap.confine heap ~dst ~generation:0 ~decide:(fun _ -> true)
   else
     Heap.confine heap ~dst
       ~generation:(Authority.generation (Label_store.authority store))
-      ~decide:(fun lid -> lid < 0 || Label_store.flows_id store ~src:lid ~dst)
+      ~decide:(fun lid -> Label_store.flows_id store ~src:lid ~dst)
 
 (* --- index lookups across segments ---------------------------------
 
@@ -226,16 +228,12 @@ let confine store heap ~dst =
 let index_find idx key =
   Hashtbl.fold (fun _ tree acc -> Btree.find tree key @ acc) idx.idx_segs []
 
+(* the (key, label) identity confines a uniqueness probe to the probe
+   label's own segment *)
 let index_find_label idx key ~lid =
-  if lid < 0 then
-    (* uninterned probe label: the caller re-checks labels, so give it
-       every candidate *)
-    index_find idx key
-  else
-    (* the (key, label) identity confines a uniqueness probe to the
-       probe label's own segment (plus the uninterned residue, whose raw
-       labels the caller compares) *)
-    Btree.find (seg_of idx lid) key @ Btree.find (seg_of idx (-1)) key
+  match Hashtbl.find_opt idx.idx_segs lid with
+  | Some tree -> Btree.find tree key
+  | None -> []
 
 (* k-way merge of ephemeral sequences under [cmp]; ties resolve to the
    earlier sequence, which is irrelevant here because (key, vid) pairs

@@ -20,8 +20,9 @@ type index = {
   idx_cols : int array;       (** column positions in the table schema *)
   idx_unique : bool;
   idx_segs : (int, Ifdb_storage.Btree.t) Hashtbl.t;
-      (** one B-tree segment per interned label id (-1 groups the
-          uninterned).  Go through {!index_find} / {!seq_index_prefix}
+      (** one B-tree segment per interned label id of a stored tuple,
+          created by the first insert under that id; a lookup never
+          creates one.  Go through {!index_find} / {!seq_index_prefix}
           rather than reading it directly. *)
 }
 
@@ -101,13 +102,13 @@ val confine :
   Ifdb_storage.Heap.verdict
 (** The Query by Label rule's partition decision for a scan of this
     heap under interned destination label [dst]: a partition is kept iff
-    its label id is [-1] (uninterned; the caller filters those tuples
-    one by one) or its label flows to [dst].  The one place the
-    decision is made: the executor's scans and index probes and the
-    analyzer's vacuous-scan check all read it.  The verdict is cached
-    in the heap ({!Ifdb_storage.Heap.confine}) under the authority
-    generation, so repeated statements by one reader make no flow
-    check until the authority state or the heap's set of non-empty
+    its label flows to [dst] ({!Ifdb_difc.Label_store.flows_id}), so a
+    kept partition's tuples need no per-tuple label check.  The one
+    place the decision is made: the executor's scans and index probes
+    and the analyzer's vacuous-scan check all read it.  The verdict is
+    cached in the heap ({!Ifdb_storage.Heap.confine}) under the
+    authority generation, so repeated statements by one reader make no
+    flow check until the authority state or the heap's set of non-empty
     partitions changes.  A negative [dst] asks for the unconfined
     verdict (IFC off): every non-empty partition kept. *)
 
@@ -122,8 +123,7 @@ val index_key : index -> Value.t array -> Value.t array
 
 val insert_into_indexes : t -> table -> Value.t array -> lid:int -> int -> unit
 (** Post a new heap version id under every index of the table; [lid]
-    is the tuple's interned label id (-1 when uninterned), selecting
-    the segment. *)
+    is the tuple's interned label id, selecting the segment. *)
 
 val bulk_insert_into_indexes :
   t -> table -> (Value.t array * int * int) list -> unit
@@ -147,10 +147,11 @@ val index_find : index -> Value.t array -> int list
     process may not see). *)
 
 val index_find_label : index -> Value.t array -> lid:int -> int list
-(** Candidates for a uniqueness probe under label id [lid]: only
-    [lid]'s segment (plus the uninterned residue) is consulted — the (key, label) identity of
-    polyinstantiation confines the probe by construction.  Callers
-    still re-check labels per candidate. *)
+(** Candidates for a uniqueness probe under interned label id [lid]:
+    only [lid]'s segment is consulted — the (key, label) identity of
+    polyinstantiation confines the probe by construction — and [[]]
+    when no tuple under [lid] was ever indexed.  The probe creates no
+    segment. *)
 
 val seq_index_prefix :
   index ->

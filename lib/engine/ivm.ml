@@ -239,9 +239,9 @@ type t = {
   lstore : Label_store.t;
   strip :
     Label.t -> (Ifdb_difc.Tag.t * Ifdb_difc.Tag.t) list -> Label.t -> Label.t;
-  scan : string -> (Tuple.t * int) Seq.t;
-      (* committed-now rows of a base table with their interned label
-         ids — label-blind on purpose (all partitions) *)
+  scan : string -> Tuple.t Seq.t;
+      (* committed-now stored rows of a base table, each carrying its
+         interned label id — label-blind on purpose (all partitions) *)
   lock : Mutex.t;
   views : (string, view) Hashtbl.t;
 }
@@ -259,16 +259,13 @@ let with_lock t f =
 (* Core evaluation over signed sources                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* A signed row bound for evaluation: values + partition label id. *)
+(* A signed row bound for evaluation: values + partition label id.  A
+   stored tuple carries its canonical label, so Row_label and
+   label-dependent predicates see exactly what the executor would. *)
 type srow = { r_sign : int; r_tuple : Tuple.t; r_lid : int }
 
-let row_of t tuple lid =
-  (* evaluation tuples carry their canonical label so Row_label and
-     label-dependent predicates see exactly what the executor would *)
-  if Tuple.label_id tuple = lid then tuple
-  else
-    Tuple.make_interned ~values:(Tuple.values tuple)
-      ~label:(Label_store.label_of t.lstore lid) ~label_id:lid
+let srow sign tuple =
+  { r_sign = sign; r_tuple = tuple; r_lid = Tuple.label_id tuple }
 
 (* Evaluate the core over per-slot sources, emitting signed core rows. *)
 let rec eval_src t (src : src) (sources : srow list array) : srow list =
@@ -306,21 +303,17 @@ let rec eval_src t (src : src) (sources : srow list array) : srow list =
         lrows
 
 let full_scan t table : srow list =
-  List.of_seq
-    (Seq.map
-       (fun (tuple, lid) -> { r_sign = 1; r_tuple = row_of t tuple lid; r_lid = lid })
-       (t.scan table))
+  List.of_seq (Seq.map (srow 1) (t.scan table))
 
 (* The delta of the core under one transaction's write set.
    Single-scan cores touch no base data at all; two-scan cores apply
    the bilinear rule. *)
-let core_delta t (c : compiled) (writes : (string * int * Tuple.t * int) list) :
+let core_delta t (c : compiled) (writes : (string * int * Tuple.t) list) :
     srow list =
   let delta_for slot =
     List.filter_map
-      (fun (table, sign, tuple, lid) ->
-        if norm table = norm c.c_tables.(slot) then
-          Some { r_sign = sign; r_tuple = row_of t tuple lid; r_lid = lid }
+      (fun (table, sign, tuple) ->
+        if norm table = norm c.c_tables.(slot) then Some (srow sign tuple)
         else None)
       writes
   in
@@ -601,7 +594,7 @@ let invalidate_table t table =
    label id), oldest first.  Under a sampled span context the whole
    delta application is one "ivm.delta" span (argument: write count —
    a size, never tuple content). *)
-let apply t (writes : (string * int * Tuple.t * int) list) =
+let apply t (writes : (string * int * Tuple.t) list) =
   if writes <> [] then
     Ifdb_obs.Span.timed "ivm.delta"
       ~args:[ ("writes", string_of_int (List.length writes)) ]
@@ -617,7 +610,7 @@ let apply t (writes : (string * int * Tuple.t * int) list) =
                     Array.exists (fun tb -> norm tb = norm table) c.c_tables
                   in
                   let touched =
-                    List.exists (fun (table, _, _, _) -> base table) writes
+                    List.exists (fun (table, _, _) -> base table) writes
                   in
                   if touched then begin
                     (* label pruning: when static analysis pinned the
@@ -632,11 +625,12 @@ let apply t (writes : (string * int * Tuple.t * int) list) =
                       | None -> writes
                       | Some f ->
                           List.filter
-                            (fun (table, _, _, lid) ->
-                              (not (base table)) || f table lid)
+                            (fun (table, _, tuple) ->
+                              (not (base table))
+                              || f table (Tuple.label_id tuple))
                             writes
                     in
-                    if not (List.exists (fun (table, _, _, _) -> base table)
+                    if not (List.exists (fun (table, _, _) -> base table)
                               relevant)
                     then vw.mv_skips <- vw.mv_skips + 1
                     else begin
@@ -662,10 +656,9 @@ let apply t (writes : (string * int * Tuple.t * int) list) =
    (session label ∪ every extra readable tag at this reference,
    including the view's own declassification) interns to [dst].  A
    partition is visible iff its label flows to that destination —
-   exactly the check a base scan's [partition_scan_filter] makes per
-   heap partition — and
-   each emitted row's label is the partition label put through the
-   view's Declassify boundary. *)
+   exactly the check a base scan's confinement verdict makes per heap
+   partition — and each emitted row's label is the partition label put
+   through the view's Declassify boundary. *)
 let assemble t vw (c : compiled) state ~dst : Tuple.t list =
   let visible lid = Label_store.flows_id t.lstore ~src:lid ~dst in
   let out_label lid =

@@ -39,13 +39,14 @@ val create :
   lstore:Label_store.t ->
   strip:
     (Label.t -> (Ifdb_difc.Tag.t * Ifdb_difc.Tag.t) list -> Label.t -> Label.t) ->
-  scan:(string -> (Tuple.t * int) Seq.t) ->
+  scan:(string -> Tuple.t Seq.t) ->
   unit ->
   t
 (** [strip] is the core's compound-aware declassify+relabel (the same
     function the executor's Declassify uses); [scan] must yield the
-    committed-now rows of a base table with their interned label ids,
-    with {e no} label filtering — the state holds every partition. *)
+    committed-now stored rows of a base table, each carrying its
+    interned label id ({!Tuple.label_id}), with {e no} label filtering
+    — the state holds every partition. *)
 
 val register :
   t ->
@@ -92,11 +93,12 @@ val interested : t -> string -> bool
 (** Does any supported view maintain state over this table?  The
     commit path's fast-path check. *)
 
-val apply : t -> (string * int * Tuple.t * int) list -> unit
+val apply : t -> (string * int * Tuple.t) list -> unit
 (** Apply one committed transaction's write set, oldest first:
-    [(table, sign, tuple, label_id)] with [+1] per inserted and [−1]
-    per deleted version (an UPDATE contributes both).  Never raises:
-    a change the state cannot absorb marks the view stale instead. *)
+    [(table, sign, tuple)] with [+1] per inserted and [−1] per deleted
+    stored version (an UPDATE contributes both); each tuple carries its
+    interned label id.  Never raises: a change the state cannot absorb
+    marks the view stale instead. *)
 
 val read : t -> view:string -> dst:int -> Tuple.t list option
 (** The served rows for a reader whose scan destination label

@@ -1,7 +1,6 @@
-type counter = { c_on : bool; c_v : int Atomic.t }
+type counter = int Atomic.t
 
 type histogram = {
-  h_on : bool;
   h_bounds : float array; (* strictly increasing upper bounds *)
   h_counts : int Atomic.t array; (* length = Array.length h_bounds + 1 *)
   h_sum_ns : int Atomic.t; (* sum scaled by 1e9 to stay in an int Atomic *)
@@ -15,16 +14,12 @@ type metric =
 type entry = { e_name : string; e_help : string; e_metric : metric }
 
 type t = {
-  enabled : bool;
   mu : Mutex.t;
   mutable entries : entry list; (* reverse registration order *)
   names : (string, unit) Hashtbl.t;
 }
 
-let create ?(enabled = true) () =
-  { enabled; mu = Mutex.create (); entries = []; names = Hashtbl.create 32 }
-
-let enabled t = t.enabled
+let create () = { mu = Mutex.create (); entries = []; names = Hashtbl.create 32 }
 
 let valid_name n =
   n <> ""
@@ -43,13 +38,13 @@ let register t name help metric =
       t.entries <- { e_name = name; e_help = help; e_metric = metric } :: t.entries)
 
 let counter t ?(help = "") name =
-  let c = { c_on = t.enabled; c_v = Atomic.make 0 } in
+  let c = Atomic.make 0 in
   register t name help (Counter c);
   c
 
-let incr c = if c.c_on then Atomic.incr c.c_v
-let add c n = if c.c_on then ignore (Atomic.fetch_and_add c.c_v n)
-let counter_value c = Atomic.get c.c_v
+let incr c = Atomic.incr c
+let add c n = ignore (Atomic.fetch_and_add c n)
+let counter_value c = Atomic.get c
 
 let gauge t ?(help = "") ?(kind = `Gauge) name read =
   register t name help (Gauge (kind, read))
@@ -66,7 +61,6 @@ let histogram t ?(help = "") ?(buckets = default_buckets) name =
     invalid_arg "Metrics.histogram: buckets must be non-empty, strictly increasing";
   let h =
     {
-      h_on = t.enabled;
       h_bounds = Array.copy buckets;
       h_counts = Array.init (Array.length buckets + 1) (fun _ -> Atomic.make 0);
       h_sum_ns = Atomic.make 0;
@@ -82,10 +76,8 @@ let bucket_index h v =
   go 0
 
 let observe h v =
-  if h.h_on then begin
-    Atomic.incr h.h_counts.(bucket_index h v);
-    ignore (Atomic.fetch_and_add h.h_sum_ns (int_of_float (v *. 1e9)))
-  end
+  Atomic.incr h.h_counts.(bucket_index h v);
+  ignore (Atomic.fetch_and_add h.h_sum_ns (int_of_float (v *. 1e9)))
 
 let histogram_count h =
   Array.fold_left (fun acc c -> acc + Atomic.get c) 0 h.h_counts
@@ -130,20 +122,18 @@ let export_quantiles = [ ("p50", 0.5); ("p95", 0.95); ("p99", 0.99) ]
 let entries t = Mutex.protect t.mu (fun () -> List.rev t.entries)
 
 let snapshot t =
-  if not t.enabled then []
-  else
-    List.concat_map
-      (fun e ->
-        match e.e_metric with
-        | Counter c -> [ (e.e_name, float_of_int (counter_value c)) ]
-        | Gauge (_, read) -> [ (e.e_name, read ()) ]
-        | Histogram h ->
-            (e.e_name ^ "_count", float_of_int (histogram_count h))
-            :: (e.e_name ^ "_sum", histogram_sum h)
-            :: List.map
-                 (fun (tag, q) -> (e.e_name ^ "_" ^ tag, quantile h q))
-                 export_quantiles)
-      (entries t)
+  List.concat_map
+    (fun e ->
+      match e.e_metric with
+      | Counter c -> [ (e.e_name, float_of_int (counter_value c)) ]
+      | Gauge (_, read) -> [ (e.e_name, read ()) ]
+      | Histogram h ->
+          (e.e_name ^ "_count", float_of_int (histogram_count h))
+          :: (e.e_name ^ "_sum", histogram_sum h)
+          :: List.map
+               (fun (tag, q) -> (e.e_name ^ "_" ^ tag, quantile h q))
+               export_quantiles)
+    (entries t)
 
 let float_str v =
   if Float.is_integer v && Float.abs v < 1e15 then
@@ -205,7 +195,7 @@ let reset t =
   List.iter
     (fun e ->
       match e.e_metric with
-      | Counter c -> Atomic.set c.c_v 0
+      | Counter c -> Atomic.set c 0
       | Gauge _ -> ()
       | Histogram h ->
           Array.iter (fun c -> Atomic.set c 0) h.h_counts;

@@ -11,10 +11,6 @@
       plus an atomic add.  No locks, no allocation on the hot path.
     - {b domain-safe}: all mutation goes through [Atomic]; metric
       registration (rare) takes a mutex.
-    - {b zero-cost when disabled}: a registry created with
-      [~enabled:false] hands out counters and histograms whose update
-      functions test one immediate bool and return — the ablation knob
-      behind [Database.create ?metrics].
 
     Gauges are {e pull} callbacks evaluated at scrape time, so
     absorbing an existing stats record costs nothing until somebody
@@ -28,10 +24,8 @@ type t
 type counter
 type histogram
 
-val create : ?enabled:bool -> unit -> t
-(** A fresh registry. [enabled] defaults to [true]. *)
-
-val enabled : t -> bool
+val create : unit -> t
+(** A fresh, empty registry. *)
 
 val counter : t -> ?help:string -> string -> counter
 (** Register a named counter.  Raises [Invalid_argument] if the name
@@ -74,8 +68,7 @@ val export_quantiles : (string * float) list
 val snapshot : t -> (string * float) list
 (** Every metric flattened to [(name, value)], in registration order.
     Histograms contribute [name_count], [name_sum] and bucket-derived
-    [name_p50]/[name_p95]/[name_p99] ([nan] while empty).  Empty when
-    the registry is disabled. *)
+    [name_p50]/[name_p95]/[name_p99] ([nan] while empty). *)
 
 val to_prometheus : t -> string
 (** Prometheus text exposition: [# HELP]/[# TYPE] comments followed by

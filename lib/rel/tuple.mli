@@ -5,16 +5,19 @@ type t = private {
   values : Value.t array;
   label : Ifdb_difc.Label.t;
   label_id : int;
-      (** the label's {!Ifdb_difc.Label_store} id, or [-1] when the
-          tuple was built without interning (derived query rows).
-          Mirrors the paper's 4-byte [_label] reference into the
-          deduplicated label table (section 7.1). *)
+      (** the label's {!Ifdb_difc.Label_store} id, or [-1] for a derived
+          query row built without interning (a join or a declassifying
+          view's output).  A stored tuple always carries its id
+          ({!Ifdb_storage.Heap.insert} rejects [-1]), the paper's 4-byte
+          [_label] reference into the deduplicated label table
+          (section 7.1). *)
 }
 
 val make : values:Value.t array -> label:Ifdb_difc.Label.t -> t
-(** An uninterned tuple ([label_id = -1]) — except that the empty
-    label is always id 0 in every store, so public tuples are born
-    interned. *)
+(** A derived row without an interned label ([label_id = -1]) — except
+    that the empty label is always id 0 in every store, so public rows
+    are born interned.  Storage refuses a [-1] row: a stored tuple
+    under a non-empty label comes from {!make_interned}. *)
 
 val make_interned :
   values:Value.t array -> label:Ifdb_difc.Label.t -> label_id:int -> t
@@ -26,9 +29,8 @@ val values : t -> Value.t array
 val label : t -> Ifdb_difc.Label.t
 
 val label_id : t -> int
-(** The interned label id, or [-1] if unknown.  Storage and the
-    enforcement paths compare label ids instead of labels whenever
-    both sides are interned. *)
+(** The interned label id, or [-1] for a derived row.  Storage and the
+    enforcement paths compare label ids, never labels. *)
 
 val get : t -> int -> Value.t
 val arity : t -> int

@@ -7,11 +7,11 @@ type version = {
 }
 
 (* One label partition of a heap: the versions carrying one interned
-   label id (-1 groups the uninterned).  [p_vids] is the partition's
-   slice of the vid space in ascending order — the authoritative
-   directory a pruned scan enumerates instead of filtering per tuple.
-   Each partition appends to its own page run, so tuples under one
-   label never share a page with another label's. *)
+   label id.  [p_vids] is the partition's slice of the vid space in
+   ascending order — the authoritative directory a pruned scan
+   enumerates instead of filtering per tuple.  Each partition appends
+   to its own page run, so tuples under one label never share a page
+   with another label's. *)
 type partition = {
   p_lid : int;
   mutable p_vids : int array; (* ascending, append-only *)
@@ -49,12 +49,12 @@ type t = {
   mutable slots : version array; (* [hole] where no version lives *)
   mutable len : int;
   mutable pages : int;
-  (* label-id partition directory, keyed by interned label id (-1
-     groups the uninterned).  A sequential scan reads this to decide
-     each distinct label once instead of per tuple; distinct labels are
-     few (the paper saw 0-2 tags per tuple and a handful of label
-     shapes per table).  Maintained incrementally on insert, vacuum and
-     commit/abort — never rebuilt by scanning the heap. *)
+  (* label-id partition directory, keyed by interned label id.  A
+     sequential scan reads this to decide each distinct label once
+     instead of per tuple; distinct labels are few (the paper saw 0-2
+     tags per tuple and a handful of label shapes per table).
+     Maintained incrementally on insert, vacuum and commit/abort —
+     never rebuilt by scanning the heap. *)
   parts : (int, partition) Hashtbl.t;
   (* the partition epoch: bumped whenever the set of non-empty
      partitions changes — a partition's first non-vacuumed version, or
@@ -209,8 +209,12 @@ let grow t =
   end
 
 let insert t ~xmin tuple =
+  let lid = Ifdb_rel.Tuple.label_id tuple in
+  if lid < 0 then
+    invalid_arg
+      (Printf.sprintf "Heap.insert(%s): tuple label is not interned" t.heap_name);
   let bytes = tuple_bytes t tuple in
-  let p = partition_of t (Ifdb_rel.Tuple.label_id tuple) in
+  let p = partition_of t lid in
   (* per-partition page run: pruning a partition skips its pages
      entirely *)
   if

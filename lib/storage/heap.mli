@@ -12,12 +12,12 @@
     translate into extra I/O in the disk-bound benchmarks.
 
     {b Label partitions.}  The heap is label-sharded: a partition
-    directory keyed by interned label id (-1 groups the uninterned)
-    records each partition's slice of the vid space in ascending order,
-    maintained incrementally on insert/vacuum — never rebuilt by
-    scanning.  Each partition owns its page run, so tuples under
-    different labels never share a page and label confinement prunes
-    whole page runs by construction.  The merged-scan primitives
+    directory keyed by interned label id records each partition's slice
+    of the vid space in ascending order, maintained incrementally on
+    insert/vacuum — never rebuilt by scanning.  Each partition owns its
+    page run, so tuples under different labels never share a page and
+    label confinement prunes whole page runs by construction.  The
+    merged-scan primitives
     enumerate only the partitions a caller keeps, in global vid order —
     the same versions, in the same order, as {!iter} plus a per-tuple
     label filter.  Which partitions a scan keeps is decided by the
@@ -55,7 +55,12 @@ val name : t -> string
 val pool : t -> Buffer_pool.t
 
 val insert : t -> xmin:int -> Ifdb_rel.Tuple.t -> version
-(** Append a new version (dirties its page). *)
+(** Append a new version (dirties its page).  The tuple's label must be
+    interned: a stored tuple carries its {!Ifdb_difc.Label_store} id,
+    the paper's 4-byte label reference (section 7.1), and that id names
+    its partition.  Raises [Invalid_argument] on a tuple whose
+    [label_id] is negative (a derived row built by {!Ifdb_rel.Tuple.make}
+    under a non-empty label). *)
 
 val get : t -> int -> version
 (** Fetch by version id (touches the page).  Raises [Invalid_argument]
@@ -112,8 +117,7 @@ val to_seq : t -> version Seq.t
 
 val iter_label_counts : t -> (int -> int -> unit) -> unit
 (** [iter_label_counts t f] calls [f label_id count] for each label-id
-    partition with live (non-vacuumed) versions; uninterned tuples
-    ([Tuple.label_id = -1]) are grouped under [-1].  Counts include
+    partition with live (non-vacuumed) versions.  Counts include
     versions awaiting vacuum, so the partition set is a superset of the
     visible labels — safe for pruning.  Scans decide their partitions
     through {!confine}; this serves reports, the analyzer's

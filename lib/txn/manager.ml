@@ -204,8 +204,10 @@ let timed_acquire t txn key check =
       | None -> ())
     check
 
+(* [note_read] and [note_write] run only under [locking]: every caller
+   checks it before building a key. *)
 let note_read t txn table =
-  if t.locking && not (List.mem table txn.t_read_tables) then
+  if not (List.mem table txn.t_read_tables) then
     timed_acquire t txn table (fun () ->
         List.iter
           (fun other ->
@@ -221,7 +223,7 @@ let note_read t txn table =
         txn.t_read_tables <- table :: txn.t_read_tables)
 
 let note_write t txn table =
-  if t.locking && not (List.mem table txn.t_write_tables) then
+  if not (List.mem table txn.t_write_tables) then
     timed_acquire t txn table (fun () ->
         List.iter
           (fun other ->
@@ -237,11 +239,23 @@ let note_write t txn table =
           t.open_txns;
         txn.t_write_tables <- table :: txn.t_write_tables)
 
+(* The serializability footprint of a pruned scan: the directory key (a
+   partition created later might carry a label this scan should have
+   conflicted with) plus each kept partition.  Pruned partitions stay
+   out — a write under a label that provably does not flow to the reader
+   cannot change what the scan returned. *)
+let note_scan t txn heap ~kept =
+  if t.locking then begin
+    let name = Ifdb_storage.Heap.name heap in
+    note_read t txn (directory_key name);
+    Array.iter (fun lid -> note_read t txn (partition_key name lid)) kept
+  end
+
 let record_insert t txn heap tuple =
   require_open txn "record_insert";
-  List.iter
-    (note_write t txn)
-    (write_lock_keys heap (Ifdb_rel.Tuple.label_id tuple));
+  if t.locking then
+    List.iter (note_write t txn)
+      (write_lock_keys heap (Ifdb_rel.Tuple.label_id tuple));
   log_begin t txn;
   let v = Ifdb_storage.Heap.insert heap ~xmin:txn.t_xid tuple in
   Ifdb_storage.Wal.append t.the_wal
@@ -301,9 +315,10 @@ let record_inserts t txn heap tuples =
 
 let record_delete t txn heap (v : Ifdb_storage.Heap.version) =
   require_open txn "record_delete";
-  note_write t txn
-    (partition_key (Ifdb_storage.Heap.name heap)
-       (Ifdb_rel.Tuple.label_id v.tuple));
+  if t.locking then
+    note_write t txn
+      (partition_key (Ifdb_storage.Heap.name heap)
+         (Ifdb_rel.Tuple.label_id v.tuple));
   log_begin t txn;
   if not (visible t txn v) then
     invalid_arg "record_delete: version not visible to this transaction";

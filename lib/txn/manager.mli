@@ -40,9 +40,9 @@ type write = {
   w_kind : [ `Insert | `Delete ];
   w_label : Ifdb_difc.Label.t;  (** label of the tuple written *)
   w_label_id : int;
-      (** the tuple's interned label id ([-1] if uninterned), so the
-          commit-label rule can compare ids and hit the flow cache
-          instead of re-deriving flows from raw labels *)
+      (** the tuple's interned label id, never [-1] (the heap stores
+          only interned tuples), so the commit-label rule compares ids
+          through the flow cache *)
 }
 
 type txn
@@ -57,11 +57,14 @@ val create :
   unit ->
   t
 (** With [serializable_locking:true] the manager additionally enforces
-    table-granularity strict two-phase locking with no-wait conflict
-    handling — a conservative but sound implementation of serializable
-    isolation (the paper's prototype instead runs snapshot isolation
-    plus the clearance rule; section 5.1).  Reads must be reported via
-    {!note_read}; writes lock automatically.
+    strict two-phase locking with no-wait conflict handling — a
+    conservative but sound implementation of serializable isolation
+    (the paper's prototype instead runs snapshot isolation plus the
+    clearance rule; section 5.1).  Locks are taken per label partition
+    of a table, so differently labeled transactions never conflict,
+    plus one per-table partition-directory lock (see {!note_scan}).
+    Scans must be reported via {!note_scan}; writes lock
+    automatically.
 
     [commit_batch] (default 1) and [sync_commit] (default false)
     configure the {!Group_commit} queue: commit fsyncs are coalesced so
@@ -93,23 +96,25 @@ val status_of : t -> int -> status
 val visible : t -> txn -> Ifdb_storage.Heap.version -> bool
 (** MVCC visibility of a heap version to this transaction. *)
 
-val note_read : t -> txn -> string -> unit
-(** Report that the transaction read the named lock key (a table, or a
-    partition/directory key — see {!partition_key}).  Under
-    [serializable_locking], acquires the shared lock and raises
-    {!Serialization_failure} if another open transaction holds the
-    exclusive lock.  No-op otherwise.
+val note_scan : t -> txn -> Ifdb_storage.Heap.t -> kept:int array -> unit
+(** Report a scan of [heap] that read the label partitions [kept] (a
+    confinement verdict's): under [serializable_locking], acquires the
+    shared lock on each kept partition and on the heap's partition
+    directory, and raises {!Serialization_failure} if another open
+    transaction holds one of them exclusively.  A pruned partition
+    stays unlocked: a write under a label that does not flow to the
+    reader cannot change what the scan returned.  The directory lock
+    closes the phantom-partition window — an insert that creates a new
+    partition write-locks it, since that partition could carry a label
+    the scan should have conflicted with.  Builds no lock key and does
+    nothing otherwise.
 
-    Locking is no-wait, so "lock wait" here means the acquisition
-    check itself: its duration accumulates into {!lock_wait_ns} and,
-    under a sampled {!Ifdb_obs.Span} context, becomes a ["lock.wait"]
-    span whose [key] argument masks the partition suffix
-    (["table#?"]). *)
-
-val note_write : t -> txn -> string -> unit
-(** Acquire the exclusive lock on a key (called internally by
-    {!record_insert}/{!record_delete}; exposed for constraint checks
-    that write logically).  Timed like {!note_read}. *)
+    Writes lock their own partition in {!record_insert},
+    {!record_inserts} and {!record_delete}.  Locking is no-wait, so
+    "lock wait" here means the acquisition check itself: its duration
+    accumulates into {!lock_wait_ns} and, under a sampled
+    {!Ifdb_obs.Span} context, becomes a ["lock.wait"] span whose [key]
+    argument masks the partition's label id (["table#?"]). *)
 
 val lock_wait_ns : t -> int
 (** Cumulative nanoseconds spent acquiring locks: every S2PL
@@ -121,19 +126,6 @@ val lock_wait_ns : t -> int
     aggregates across all transactions and labels, so it reveals only
     whole-system contention, not per-label activity (see DESIGN.md
     §6.10 for the covert-channel audit). *)
-
-val partition_key : string -> int -> string
-(** The lock key for one label partition of a table ("table#lid").
-    Writes lock at this granularity, so
-    differently labeled transactions never conflict; a pruned scan
-    read-locks only the partitions it visits. *)
-
-val directory_key : string -> string
-(** The per-table partition-directory key ("table@dir").  Full scans
-    read-lock it; an insert creating a brand-new
-    partition write-locks it — closing the phantom-partition window
-    (a partition born after a scan froze its pruning could otherwise
-    carry a label the scan should have conflicted with). *)
 
 val record_insert :
   t -> txn -> Ifdb_storage.Heap.t -> Ifdb_rel.Tuple.t -> Ifdb_storage.Heap.version

@@ -486,6 +486,57 @@ let test_serializable_locks_released () =
   ignore (Db.exec s2 "COMMIT");
   Alcotest.(check int) "both rows" 2 (List.length (Db.query s2 "SELECT * FROM t"))
 
+(* Serializable locks are per label partition plus one partition
+   directory per table.  A reader's open transaction has scanned [t]
+   with rows under {} and {ta}; its empty label keeps the {} partition
+   and prunes {ta}.  Writers then conflict exactly with what that scan
+   could have observed. *)
+let test_serializable_partition_locks () =
+  let db = Db.create ~isolation:Db.Serializable () in
+  let admin = Db.connect_admin db in
+  let owner = Db.create_principal admin ~name:"owner" in
+  let os = Db.connect db ~principal:owner in
+  let ta = Db.create_tag os ~name:"ta" () in
+  let tb = Db.create_tag os ~name:"tb" () in
+  let session tags =
+    let s = Db.connect db ~principal:owner in
+    List.iter (Db.add_secrecy s) tags;
+    s
+  in
+  ignore (Db.exec admin "CREATE TABLE t (id INT PRIMARY KEY)");
+  ignore (Db.exec admin "INSERT INTO t VALUES (1)");
+  ignore (Db.exec (session [ ta ]) "INSERT INTO t VALUES (2)");
+  let reader = session [] in
+  ignore (Db.exec reader "BEGIN");
+  Alcotest.(check int) "the reader sees the public row" 1
+    (List.length (Db.query reader "SELECT * FROM t"));
+  let conflicts what s sql =
+    let got =
+      match Db.exec s sql with
+      | exception Ifdb_txn.Manager.Serialization_failure _ -> true
+      | _ -> false
+    in
+    Alcotest.(check bool) what true got
+  in
+  let proceeds what s sql =
+    match Db.exec s sql with
+    | Db.Affected 1 -> ()
+    | _ -> Alcotest.failf "%s: expected one affected row" what
+    | exception e ->
+        Alcotest.failf "%s: unexpected %s" what (Printexc.to_string e)
+  in
+  conflicts "(a) an insert into the read partition" (session [])
+    "INSERT INTO t VALUES (3)";
+  proceeds "(b) an insert into the pruned partition" (session [ ta ])
+    "INSERT INTO t VALUES (4)";
+  conflicts "(c) an insert creating a partition locks the directory"
+    (session [ tb ]) "INSERT INTO t VALUES (5)";
+  conflicts "(d) deleting a row the reader saw" (session [])
+    "DELETE FROM t WHERE id = 1";
+  proceeds "(e) deleting a row of the pruned partition" (session [ ta ])
+    "DELETE FROM t WHERE id = 2";
+  ignore (Db.exec reader "COMMIT")
+
 let test_rollback_undoes () =
   let m = medical_db () in
   let s = Db.connect m.db ~principal:m.alice in
@@ -1109,6 +1160,8 @@ let suites =
           test_write_skew_prevented_serializable;
         Alcotest.test_case "serializable locks released" `Quick
           test_serializable_locks_released;
+        Alcotest.test_case "serializable partition-granularity locks" `Quick
+          test_serializable_partition_locks;
         Alcotest.test_case "rollback" `Quick test_rollback_undoes;
       ] );
     ( "core.constraints",

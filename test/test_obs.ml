@@ -61,18 +61,6 @@ let test_name_rules () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "invalid metric name must raise"
 
-let test_disabled_registry () =
-  let reg = Metrics.create ~enabled:false () in
-  Alcotest.(check bool) "disabled" false (Metrics.enabled reg);
-  let c = Metrics.counter reg "ifdb_off_total" in
-  let h = Metrics.histogram reg "ifdb_off_seconds" in
-  Metrics.incr c;
-  Metrics.add c 10;
-  Metrics.observe h 0.5;
-  Alcotest.(check int) "counter is a no-op" 0 (Metrics.counter_value c);
-  Alcotest.(check int) "histogram is a no-op" 0 (Metrics.histogram_count h);
-  Alcotest.(check int) "snapshot empty" 0 (List.length (Metrics.snapshot reg))
-
 let test_histogram () =
   let reg = Metrics.create () in
   let h = Metrics.histogram reg "ifdb_lat_seconds" in
@@ -701,18 +689,6 @@ let test_statement_metrics () =
   Alcotest.(check (float 0.0)) "reset_stats zeroes the registry" 0.0
     (snapshot_get db "ifdb_statements_total")
 
-let test_metrics_disabled_database () =
-  let db = Db.create ~metrics:false () in
-  let admin = Db.connect_admin db in
-  ignore (Db.exec admin "CREATE TABLE t (a INT)");
-  ignore (Db.exec admin "INSERT INTO t VALUES (1)");
-  Alcotest.(check int) "snapshot empty when disabled" 0
-    (List.length (Db.metrics_snapshot db));
-  (* tracing is independent of the registry: EXPLAIN ANALYZE still works *)
-  let report, _ = Db.explain_analyze admin "SELECT * FROM t" in
-  Alcotest.(check bool) "EXPLAIN ANALYZE unaffected" true
-    (List.exists (fun l -> contains l "execution:") report)
-
 (* ------------------------------------------------------------------ *)
 
 let suites =
@@ -721,8 +697,6 @@ let suites =
       [
         Alcotest.test_case "counter basics" `Quick test_counter_basics;
         Alcotest.test_case "name rules" `Quick test_name_rules;
-        Alcotest.test_case "disabled registry no-ops" `Quick
-          test_disabled_registry;
         Alcotest.test_case "histogram" `Quick test_histogram;
         Alcotest.test_case "reset" `Quick test_reset;
         Alcotest.test_case "prometheus exposition" `Quick
@@ -785,7 +759,5 @@ let suites =
       [
         Alcotest.test_case "statement counters and histogram" `Quick
           test_statement_metrics;
-        Alcotest.test_case "disabled registry end to end" `Quick
-          test_metrics_disabled_database;
       ] );
   ]

@@ -339,6 +339,48 @@ let test_pruning_observable () =
       Alcotest.failf "unexpected partition report (%d tables)"
         (List.length report)
 
+(* Index segments mirror heap partitions: polyinstantiated inserts
+   under two labels give each index exactly those two segments — none
+   for the uninterned -1 — and a uniqueness probe under a label that
+   stores nothing (a batch rejected before any row lands) creates
+   none. *)
+let test_index_segments () =
+  let db = Db.create () in
+  let admin = Db.connect_admin db in
+  let owner = Db.create_principal admin ~name:"owner" in
+  let os = Db.connect db ~principal:owner in
+  let secret = Db.create_tag os ~name:"secret" () in
+  let other = Db.create_tag os ~name:"other" () in
+  ignore (Db.exec admin "CREATE TABLE r (id INT PRIMARY KEY, v INT UNIQUE)");
+  ignore (Db.exec admin "INSERT INTO r VALUES (1, 10), (2, 20)");
+  let hs = Db.connect db ~principal:owner in
+  Db.add_secrecy hs secret;
+  ignore (Db.exec hs "INSERT INTO r VALUES (1, 10)");
+  ignore (Db.exec hs "INSERT INTO r VALUES (3, 30)");
+  let xs = Db.connect db ~principal:owner in
+  Db.add_secrecy xs other;
+  (match Db.exec xs "INSERT INTO r VALUES (5, 50), (5, 51)" with
+  | exception Errors.Constraint_violation _ -> ()
+  | _ -> Alcotest.fail "duplicate key within one batch must fail");
+  let store = Db.label_store db in
+  let lid l = Ifdb_difc.Label_store.intern store l in
+  let expected =
+    List.sort compare [ lid Label.empty; lid (Label.singleton secret) ]
+  in
+  let tbl = Ifdb_engine.Catalog.table (Db.catalog db) "r" in
+  Alcotest.(check int) "two indexes" 2
+    (List.length tbl.Ifdb_engine.Catalog.tbl_indexes);
+  List.iter
+    (fun idx ->
+      Alcotest.(check (list int))
+        (idx.Ifdb_engine.Catalog.idx_name ^ " segments: {} and {secret}")
+        expected
+        (List.sort compare
+           (Hashtbl.fold
+              (fun lid _ acc -> lid :: acc)
+              idx.Ifdb_engine.Catalog.idx_segs [])))
+    tbl.Ifdb_engine.Catalog.tbl_indexes
+
 (* A reader's confinement verdict is cached per table, and vacuum
    emptying the table's only hidden partition must retire it.  While
    the hidden rows are stored (deleted or not, until vacuum reclaims
@@ -523,6 +565,8 @@ let suites =
         qcheck_model ~count:40 ~parallelism:1 "model oracle (serial)";
         qcheck_model ~count:12 ~parallelism:par_width "model oracle (parallel)";
         Alcotest.test_case "pruning observable" `Quick test_pruning_observable;
+        Alcotest.test_case "index segments follow heap partitions" `Quick
+          test_index_segments;
         Alcotest.test_case "vacuum retires a cached verdict" `Quick
           test_vacuum_retires_verdict;
         Alcotest.test_case "fused serial aggregate in EXPLAIN ANALYZE" `Quick

@@ -218,7 +218,10 @@ let test_heap_page_packing () =
     let bp = Buffer_pool.create () in
     let h = Heap.create ~name:"t" ~labeled ~pool:bp () in
     for i = 1 to count do
-      ignore (Heap.insert h ~xmin:1 (tuple ~label [ Value.Int i; Value.Text "xxxxxxxxxx" ]))
+      ignore
+        (Heap.insert h ~xmin:1
+           (Tuple.make_interned ~label ~label_id:1
+              ~values:[| Value.Int i; Value.Text "xxxxxxxxxx" |]))
     done;
     Heap.page_count h
   in
@@ -226,6 +229,20 @@ let test_heap_page_packing () =
   Alcotest.(check bool)
     (Printf.sprintf "labeled (%d) > unlabeled (%d) pages" labeled_pages unlabeled_pages)
     true (labeled_pages > unlabeled_pages)
+
+(* A stored tuple carries an interned label id: a derived row's -1 is
+   refused, while the empty label is born interned (id 0). *)
+let test_heap_rejects_uninterned () =
+  let bp = Buffer_pool.create () in
+  let h = Heap.create ~name:"t" ~labeled:true ~pool:bp () in
+  let label = Label.of_ints [| 7 |] in
+  (match Heap.insert h ~xmin:1 (tuple ~label [ Value.Int 1 ]) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "an uninterned tuple must be refused");
+  Alcotest.(check int) "nothing stored" 0 (Heap.version_count h);
+  Alcotest.(check int) "no partition" 0 (Heap.distinct_label_count h);
+  let v = Heap.insert h ~xmin:1 (tuple [ Value.Int 2 ]) in
+  Alcotest.(check int) "public row stored" 0 (Tuple.label_id v.Heap.tuple)
 
 (* Reclaim every version satisfying [dead], as a vacuum pass would;
    returns how many were removed. *)
@@ -791,6 +808,8 @@ let suites =
         Alcotest.test_case "insert/get" `Quick test_heap_insert_get;
         Alcotest.test_case "xmax stamps" `Quick test_heap_xmax;
         Alcotest.test_case "label bytes consume pages" `Quick test_heap_page_packing;
+        Alcotest.test_case "uninterned tuple rejected" `Quick
+          test_heap_rejects_uninterned;
         Alcotest.test_case "iter & vacuum" `Quick test_heap_iter_vacuum;
         Alcotest.test_case "label partitions" `Quick test_heap_partitions;
         heap_merge_prop;

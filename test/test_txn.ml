@@ -16,8 +16,8 @@ let fresh () =
   let m = Manager.create () in
   (m, h)
 
-let tuple ?(label = Label.empty) i =
-  Tuple.make ~values:[| Value.Int i |] ~label
+let tuple ?(label = Label.empty) ?(label_id = 0) i =
+  Tuple.make_interned ~values:[| Value.Int i |] ~label ~label_id
 
 let visible_ints m txn h =
   let acc = ref [] in
@@ -147,7 +147,7 @@ let test_write_set_labels () =
   let m, h = fresh () in
   let red = Label.singleton (Tag.of_int 1) in
   let t = Manager.begin_txn m in
-  ignore (Manager.record_insert m t h (tuple ~label:red 1));
+  ignore (Manager.record_insert m t h (tuple ~label:red ~label_id:1 1));
   ignore (Manager.record_insert m t h (tuple 2));
   let ws = Manager.writes t in
   Alcotest.(check int) "two writes" 2 (List.length ws);
