@@ -19,7 +19,9 @@ module Executor = Ifdb_engine.Executor
 module Ivm = Ifdb_engine.Ivm
 module Domain_pool = Ifdb_engine.Domain_pool
 module A = Ifdb_sql.Ast
+module Lexer = Ifdb_sql.Lexer
 module Parser = Ifdb_sql.Parser
+module Shape = Ifdb_sql.Shape
 module Printer = Ifdb_sql.Printer
 module Analysis = Ifdb_analysis.Analysis
 module Trace_state = Ifdb_analysis.Trace_state
@@ -122,12 +124,16 @@ type plan_entry = {
    placeholders intact), its prepare-time diagnostics, and plans keyed
    by the interned session-label id — sessions under different labels
    may see different view expansions, so they never share an entry
-   (mirroring the IVM reader cache).  [sc_lock] is set only for entries
-   in the database-wide implicit cache, which sessions on other domains
-   may touch concurrently; per-session prepared statements need none. *)
+   (mirroring the IVM reader cache).  An entry of the implicit cache has
+   the same form: a lifted shape's [$k] template, or one literal SELECT.
+   [sc_lock] is set only for entries in the database-wide implicit
+   cache, which sessions on other domains may touch concurrently;
+   per-session prepared statements need none. *)
 type stmt_cache = {
   sc_stmt : A.stmt;
-  sc_text : string;  (* canonical rendering, placeholders intact *)
+  sc_text : string;
+      (* canonical rendering of a prepared body, placeholders intact;
+         empty in the implicit cache, where nothing renders it *)
   sc_nparams : int;
   sc_cacheable : bool;
       (* SELECT or DML without expression-position subqueries: those
@@ -142,6 +148,11 @@ type stmt_cache = {
   mutable sc_hits : int;
   sc_lock : Mutex.t option;
 }
+
+(* The implicit cache's verdict on a statement shape ([Shape]): its
+   [$k] template, with the literals that bind negated, or "not lifted":
+   some literal sits outside a value position. *)
+type shape_entry = Lifted of stmt_cache * bool array | Unlifted
 
 type trigger_event = {
   ev_table : string;
@@ -201,11 +212,11 @@ and t = {
          ([trace_sample = 0]), in which case the statement path costs
          one atomic read and no clock *)
   pc_mu : Mutex.t;
-  pc_alias : (string, string) Hashtbl.t;
-      (* trimmed raw statement text → canonical printed text, so the
-         implicit cache is keyed on what applications actually send *)
-  pc_stmts : (string, stmt_cache) Hashtbl.t;
-      (* canonical text → cached statement (implicit, database-wide) *)
+  pc_texts : (string, stmt_cache * Value.t array) Hashtbl.t;
+      (* trimmed raw statement text → the entry that serves it and the
+         values its literals bind, so an exact repeat skips the lexer *)
+  pc_shapes : (string, shape_entry) Hashtbl.t;
+      (* [Shape.key] → verdict (implicit, database-wide) *)
 }
 
 and session = {
@@ -227,8 +238,9 @@ and session = {
       (* active EXPLAIN ANALYZE trace; threaded into the executor ctx
          and the label-confinement scan filters *)
   mutable s_params : Value.t array;
-      (* the current EXECUTE's bindings, frozen before execution starts;
-         [Expr.Param n] reads slot n-1.  Empty outside EXECUTE. *)
+      (* the current EXECUTE's bindings, or the literals of an implicit
+         cache hit, frozen before execution starts; [Expr.Param n] reads
+         slot n-1.  Empty outside both. *)
   s_prepared : (string, stmt_cache) Hashtbl.t;
       (* session-local prepared statements, keyed by normalized name *)
   mutable s_flow : Trace_state.t option;
@@ -1515,8 +1527,9 @@ let resolve_insert_target s i_table i_columns =
 (* --- DML plans -------------------------------------------------------
 
    One function builds each DML plan.  The plan cache keeps what it
-   returns for a prepared statement, and the uncached path (literal SQL,
-   [exec_stmt]) calls it on every execution.  A plan holds only what the
+   returns for a prepared statement and for a lifted shape of literal
+   SQL; the uncached path ([exec_stmt], literal DML of a shape that is
+   not lifted) calls it on every execution.  A plan holds only what the
    statement text and the catalog decide: lowered expressions, column
    positions, the access path and a view target's base table.  The Write
    Rule, DECLASSIFYING authority, label constraints, uniqueness on
@@ -1930,10 +1943,10 @@ let session_label_id s =
   if s.sdb.ifc then Label_store.intern s.sdb.lstore s.s_label
   else Label_store.empty_id
 
-let make_stmt_cache ?lock (stmt : A.stmt) ~diags ~stamp =
+let make_stmt_cache ?lock ?(text = "") (stmt : A.stmt) ~diags ~stamp =
   {
     sc_stmt = stmt;
-    sc_text = Printer.stmt_to_string stmt;
+    sc_text = text;
     sc_nparams = A.max_param stmt;
     sc_cacheable =
       (match stmt with
@@ -2013,50 +2026,98 @@ let plan_for ?cache s stmt =
   | Some sc when sc.sc_cacheable -> fst (cached_plan s sc)
   | _ -> plan_stmt s stmt
 
-(* The implicit cache: [exec] keys cached statements on the trimmed raw
-   text clients send, with a bounded canonical-text table behind it.
-   Only parameter-free SELECTs are admitted — their plans re-serve
-   verbatim.  DML stays out: a literal DML text embeds the values it
-   writes, which change per call, so its entry would almost never be
-   reused. *)
+(* The implicit cache.  [exec] keys it on statement shape ([Shape]):
+   the first text of a shape is parsed twice, as written and with its
+   literals as [$k], and the shape is lifted when the two parses differ
+   only in value positions.  Its template is then a [stmt_cache] like a
+   prepared one, and every later text of the shape, SELECT or DML, binds
+   its literals as [s_params] and runs the template's plan: no parse and
+   no planning.  A SELECT of a shape that is not lifted gets an entry of
+   its own text, as literal DML of such a shape runs uncached.  In
+   front, a raw-text table sends exact repeats of SELECT texts to their
+   entry and bindings without lexing.  Both tables hold at most
+   [implicit_cache_cap] entries and start over when full. *)
 let implicit_cache_cap = 512
 
-let implicit_cache_find db key =
+let with_implicit_cache db f =
   Mutex.lock db.pc_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock db.pc_mu)
-    (fun () ->
-      match Hashtbl.find_opt db.pc_alias key with
-      | Some canon -> Hashtbl.find_opt db.pc_stmts canon
-      | None -> None)
+  Fun.protect ~finally:(fun () -> Mutex.unlock db.pc_mu) f
 
-let implicit_cache_admit db key (stmt : A.stmt) =
-  match stmt with
-  | A.S_select _
-    when (not (A.has_expr_subquery stmt)) && A.max_param stmt = 0 ->
-      Mutex.lock db.pc_mu;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock db.pc_mu)
-        (fun () ->
-          if Hashtbl.length db.pc_stmts >= implicit_cache_cap then begin
-            Hashtbl.reset db.pc_stmts;
-            Hashtbl.reset db.pc_alias
-          end;
-          let canon = Printer.stmt_to_string stmt in
-          let sc =
-            match Hashtbl.find_opt db.pc_stmts canon with
-            | Some sc -> sc
-            | None ->
-                let sc =
-                  make_stmt_cache ~lock:db.pc_mu stmt ~diags:[]
-                    ~stamp:(-1, -1, -1)
-                in
-                Hashtbl.add db.pc_stmts canon sc;
-                sc
-          in
-          Hashtbl.replace db.pc_alias key canon;
-          Some sc)
-  | _ -> None
+let implicit_add tbl key v =
+  if Hashtbl.length tbl >= implicit_cache_cap then Hashtbl.reset tbl;
+  Hashtbl.replace tbl key v
+
+let implicit_entry db stmt =
+  make_stmt_cache ~lock:db.pc_mu stmt ~diags:[] ~stamp:(-1, -1, -1)
+
+(* The statement a trimmed text denotes, with the implicit-cache entry
+   that serves it and the values its [$k] bind, if it has one.  What
+   the statement's observers see (the analyzer, audit, the slow log) is
+   the literal statement, rebuilt from the template when not parsed. *)
+let implicit_lookup db text : A.stmt * (stmt_cache * Value.t array) option =
+  (* only SELECT texts are remembered: a literal DML text embeds the
+     values it writes, so it rarely repeats exactly *)
+  let remember sc values =
+    (match sc.sc_stmt with
+    | A.S_select _ ->
+        with_implicit_cache db (fun () ->
+            implicit_add db.pc_texts text (sc, values))
+    | _ -> ());
+    Some (sc, values)
+  in
+  let literal_select stmt =
+    match stmt with
+    | A.S_select _ -> (stmt, remember (implicit_entry db stmt) [||])
+    | _ -> (stmt, None)
+  in
+  let parse_one tokens =
+    match Parser.parse_tokens tokens with
+    | [ stmt ] -> stmt
+    | [] -> Errors.sql "empty statement"
+    | _ -> Errors.sql "exec expects a single statement; use exec_script"
+  in
+  match
+    with_implicit_cache db (fun () -> Hashtbl.find_opt db.pc_texts text)
+  with
+  | Some (sc, values) ->
+      let stmt =
+        if Array.length values = 0 then sc.sc_stmt
+        else Analysis.subst_params values sc.sc_stmt
+      in
+      (stmt, Some (sc, values))
+  | None -> (
+      match Shape.of_text text with
+      | None -> (parse_one (Lexer.tokenize text), None)
+      | Some shape -> (
+          match
+            with_implicit_cache db (fun () ->
+                Hashtbl.find_opt db.pc_shapes shape.Shape.key)
+          with
+          | Some (Lifted (sc, negated)) ->
+              let values = Shape.values shape negated in
+              (Analysis.subst_params values sc.sc_stmt, remember sc values)
+          | Some Unlifted -> literal_select (parse_one (Lexer.tokenize text))
+          | None -> (
+              let tokens = Lexer.tokenize text in
+              let stmt = parse_one tokens in
+              if A.has_expr_subquery stmt then (stmt, None)
+              else
+                match Shape.lift shape tokens stmt with
+                | Some (template, negated) ->
+                    let sc = implicit_entry db template in
+                    with_implicit_cache db (fun () ->
+                        implicit_add db.pc_shapes shape.Shape.key
+                          (Lifted (sc, negated)));
+                    (stmt, remember sc (Shape.values shape negated))
+                | None ->
+                    with_implicit_cache db (fun () ->
+                        implicit_add db.pc_shapes shape.Shape.key Unlifted);
+                    literal_select stmt)))
+
+(* The SELECT an EXPLAIN [ANALYZE] text explains, as its own text. *)
+let explained_text text ~analyze =
+  let start = Lexer.token_start text (if analyze then 2 else 1) in
+  String.sub text start (String.length text - start)
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN [ANALYZE]                                                   *)
@@ -2076,15 +2137,14 @@ let plan_lines plan =
    around the execution (memoized and missed alike): the checks that
    decided a confinement verdict this execution read from the heap's
    cache — made by an earlier statement, or by this one's prepare-time
-   analysis — are not in them. *)
-let explain_analyze_select s sel : string list * result =
+   analysis — are not in them.  [cache] is the implicit-cache entry
+   [exec] would run the SELECT's text from, its bindings already in
+   [s_params], so the report shows what a real execution pays. *)
+let explain_analyze_select ?cache s sel : string list * result =
   in_statement_txn s (fun _txn ->
       let db = s.sdb in
-      (* probe the implicit plan cache exactly as [exec] would, so the
-         report shows what a real execution of this text pays *)
-      let stmt = A.S_select sel in
       let plan, columns, notes =
-        match implicit_cache_admit db (Printer.stmt_to_string stmt) stmt with
+        match cache with
         | Some sc when sc.sc_cacheable ->
             let plan, hit = cached_plan s sc in
             let plan, columns = select_of plan in
@@ -2167,15 +2227,23 @@ let explain_rows lines =
           lines;
     }
 
-let exec_explain s ~analyze stmt =
+let exec_explain ?cache s ~analyze stmt =
   match stmt with
   | A.S_select sel ->
-      if analyze then explain_rows (fst (explain_analyze_select s sel))
+      if analyze then explain_rows (fst (explain_analyze_select ?cache s sel))
       else
         in_statement_txn s (fun _txn ->
             let plan, _columns = Planner.plan_select (pctx s) sel in
             explain_rows (plan_lines plan))
   | _ -> Errors.sql "EXPLAIN supports only SELECT statements"
+
+(* Bindings live in [s_params] for one statement only, so a trigger or
+   a function that runs a statement inside it leaves the outer bindings
+   intact. *)
+let with_params s bindings f =
+  let saved = s.s_params in
+  s.s_params <- bindings;
+  Fun.protect ~finally:(fun () -> s.s_params <- saved) f
 
 (* Evaluate an EXECUTE argument: a constant expression (label literals
    included), evaluated against the empty row.  A constant, which is
@@ -2232,7 +2300,8 @@ let rec exec_stmt ?cache s (stmt : A.stmt) : result =
             Span.timed "execute" (fun () -> Executor.run_list (exec_ctx s) plan)
           in
           Rows { columns; tuples })
-  | A.S_explain { x_analyze; x_stmt } -> exec_explain s ~analyze:x_analyze x_stmt
+  | A.S_explain { x_analyze; x_stmt } ->
+      exec_explain ?cache s ~analyze:x_analyze x_stmt
   | A.S_insert _ | A.S_update _ | A.S_delete _ ->
       (* a DML statement fetches its plan inside its execute span: the
          plan span times SELECT planning only *)
@@ -2311,7 +2380,8 @@ and exec_prepare s pr_name pr_stmt : result =
      (with parameter-dependent verdicts demoted); keep its diagnostics
      so later EXECUTEs can re-attach them without re-analyzing. *)
   Hashtbl.replace s.s_prepared key
-    (make_stmt_cache pr_stmt ~diags:s.s_warnings
+    (make_stmt_cache pr_stmt ~text:(Printer.stmt_to_string pr_stmt)
+       ~diags:s.s_warnings
        ~stamp:
          (Catalog.version db.cat, Authority.generation db.auth,
           session_label_id s));
@@ -2347,11 +2417,7 @@ and exec_execute s ex_name ex_args : result =
          match List.find_opt Diag.is_error sc.sc_diags with
          | Some d -> raise (diag_exn d)
          | None -> ());
-      let saved = s.s_params in
-      s.s_params <- bindings;
-      Fun.protect
-        ~finally:(fun () -> s.s_params <- saved)
-        (fun () -> exec_stmt ~cache:sc s sc.sc_stmt)
+      with_params s bindings (fun () -> exec_stmt ~cache:sc s sc.sc_stmt)
 
 (* A failed statement aborts the enclosing explicit transaction, like
    PostgreSQL's "current transaction is aborted" state with the forced
@@ -2457,34 +2523,34 @@ let wrap_errors f =
   | Authority.Not_public msg -> Errors.flow "%s" msg
   | Authority.Unknown msg -> Errors.sql "unknown %s" msg
 
+(* Run [f] with the implicit-cache entry an [implicit_lookup] found,
+   its literals bound. *)
+let with_entry s entry f =
+  match entry with
+  | None -> f None
+  | Some (sc, values) -> with_params s values (fun () -> f (Some sc))
+
 let exec s sql_text =
   wrap_errors (fun () ->
       let db = s.sdb in
-      let key = String.trim sql_text in
-      match implicit_cache_find db key with
-      | Some sc ->
-          (* text-level hit: parse skipped entirely.  The analyzer still
-             runs per execution inside the guarded path, so diagnostics,
-             strict-mode behavior and [s_warnings] are byte-identical to
-             a cold execution of the same text. *)
-          exec_stmt_guarded ~cache:sc s sc.sc_stmt
-      | None -> (
-          (* parse happens before a span context can exist (sampling
-             is per statement, statements come from parsing), so peek:
-             if the next statement would be sampled, take timestamps
-             now and let the guarded path backdate the root and attach
-             a "parse" span.  Racy across sessions by design — a wrong
-             guess costs two clock reads, never correctness. *)
-          let p0 = if Span.peek db.spans then Span.now_ns () else 0 in
-          match Parser.parse sql_text with
-          | [ stmt ] ->
-              let parse =
-                if p0 > 0 then Some (p0, Span.now_ns ()) else None
-              in
-              exec_stmt_guarded ?cache:(implicit_cache_admit db key stmt)
-                ?parse s stmt
-          | [] -> Errors.sql "empty statement"
-          | _ -> Errors.sql "exec expects a single statement; use exec_script"))
+      let text = String.trim sql_text in
+      (* the front end runs before a span context can exist (sampling
+         is per statement, statements come from parsing), so peek: if
+         the next statement would be sampled, take timestamps now and
+         let the guarded path backdate the root and attach a "parse"
+         span.  Racy across sessions by design — a wrong guess costs two
+         clock reads, never correctness. *)
+      let p0 = if Span.peek db.spans then Span.now_ns () else 0 in
+      let stmt, entry = implicit_lookup db text in
+      let parse = if p0 > 0 then Some (p0, Span.now_ns ()) else None in
+      let entry =
+        match stmt with
+        | A.S_explain { x_analyze = true; x_stmt = A.S_select _ } ->
+            (* probe the cache as the explained SELECT's own text would *)
+            snd (implicit_lookup db (explained_text text ~analyze:true))
+        | _ -> entry
+      in
+      with_entry s entry (fun cache -> exec_stmt_guarded ?cache ?parse s stmt))
 
 let exec_script s sql_text =
   wrap_errors (fun () ->
@@ -2542,17 +2608,21 @@ let prepared_statements s =
    exactly what the untraced one would. *)
 let explain_analyze s sql_text =
   wrap_errors (fun () ->
-      let sel =
-        match Parser.parse_one sql_text with
-        | A.S_select sel -> sel
-        | A.S_explain { x_stmt = A.S_select sel; _ } -> sel
+      let text = String.trim sql_text in
+      let sel, sel_text =
+        match Parser.parse_one text with
+        | A.S_select sel -> (sel, text)
+        | A.S_explain { x_analyze; x_stmt = A.S_select sel } ->
+            (sel, explained_text text ~analyze:x_analyze)
         | _ -> Errors.sql "explain_analyze expects a single SELECT"
       in
-      let stmt = A.S_select sel in
-      s.s_stmt <- Some stmt;
+      (* probe the cache as [exec] of the SELECT's own text would *)
+      let _, entry = implicit_lookup s.sdb sel_text in
+      s.s_stmt <- Some (A.S_select sel);
       Fun.protect
         ~finally:(fun () -> s.s_stmt <- None)
-        (fun () -> explain_analyze_select s sel))
+        (fun () ->
+          with_entry s entry (fun cache -> explain_analyze_select ?cache s sel)))
 
 (* ------------------------------------------------------------------ *)
 (* Trace-level analysis (shell \check, ifdb_lint --trace)              *)
@@ -3037,8 +3107,8 @@ let create ?(ifc = true) ?(isolation = Snapshot) ?(capacity_pages = None)
         | Some ms -> int_of_float (ms *. 1e6));
       spans = Span.create ~sample_every:trace_sample ();
       pc_mu = Mutex.create ();
-      pc_alias = Hashtbl.create 64;
-      pc_stmts = Hashtbl.create 64;
+      pc_texts = Hashtbl.create 64;
+      pc_shapes = Hashtbl.create 64;
     }
   in
   register_builtin_procedures db;

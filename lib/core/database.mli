@@ -120,8 +120,12 @@ val create :
     The generation-stamped plan cache is always on: [PREPARE]d
     statements keep their parsed body, prepare-time diagnostics and one
     parameterized plan per session-label id, and {!exec} maintains an
-    implicit database-wide cache keyed on raw statement text for
-    parameter-free SELECTs.  Every cached plan is stamped with the
+    implicit database-wide cache keyed on statement shape (the tokens
+    with each literal's value masked, {!Ifdb_sql.Shape}): the literals
+    of a SELECT, INSERT, UPDATE or DELETE that all sit in WHERE or ON
+    predicates, SET right-hand sides or VALUES items bind as parameters
+    of one [$k] template per shape; a SELECT with a literal elsewhere
+    keeps an entry of its own text.  Every cached plan is stamped with the
     catalog version and authority generation it was planned under and
     silently re-planned when either moves, and scan-time label
     confinement is always re-derived per execution — results, labels,
@@ -230,8 +234,9 @@ type result =
   | Done of string  (** DDL / transaction control / PERFORM *)
 
 val exec : session -> string -> result
-(** Execute one SQL statement (parse errors raise
-    {!Errors.Sql_error}).  Statements outside BEGIN/COMMIT run in an
+(** Execute one SQL statement (lexical and parse errors raise
+    {!Errors.Sql_error}), served from the implicit plan cache when its
+    shape is cached.  Statements outside BEGIN/COMMIT run in an
     implicit transaction. *)
 
 val exec_script : session -> string -> result list

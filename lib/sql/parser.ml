@@ -674,14 +674,16 @@ let rec parse_stmt st =
   end
   else fail "unexpected start of statement: %s" (Token.to_string (peek st))
 
-let parse input =
-  let st = { toks = Array.of_list (Lexer.tokenize input); pos = 0 } in
+let parse_tokens toks =
+  let st = { toks; pos = 0 } in
   let stmts = ref [] in
   while peek st <> Token.Eof do
     if peek st = Token.Semicolon then advance st
     else stmts := parse_stmt st :: !stmts
   done;
   List.rev !stmts
+
+let parse input = parse_tokens (Lexer.tokenize input)
 
 let parse_one input =
   match parse input with
@@ -690,7 +692,7 @@ let parse_one input =
   | _ -> fail "expected exactly one statement"
 
 let parse_expr input =
-  let st = { toks = Array.of_list (Lexer.tokenize input); pos = 0 } in
+  let st = { toks = Lexer.tokenize input; pos = 0 } in
   let e = parse_or st in
   if peek st <> Token.Eof then
     fail "trailing input after expression: %s" (Token.to_string (peek st));

@@ -13,6 +13,11 @@ exception Parse_error of string
 val parse : string -> Ast.stmt list
 (** Parse a semicolon-separated script. *)
 
+val parse_tokens : Token.t array -> Ast.stmt list
+(** [parse] over an already lexed token array, which must end with
+    [Eof].  The tree's structure depends only on the tokens' kinds and
+    identifiers: a literal's value only fills its constant. *)
+
 val parse_one : string -> Ast.stmt
 (** Parse exactly one statement (trailing semicolon allowed). *)
 

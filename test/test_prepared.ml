@@ -39,16 +39,24 @@ let metric db name =
 (* Labels are masks over two tags; ops carry randomized bindings.  The
    prepared replay PREPAREs one template per op shape up front and
    EXECUTEs it with the bindings; the implicit replay sends each op's
-   literal SQL through [Db.exec], which keys cached plans on the text;
-   the uncached replay parses the literal itself and runs it through
-   [Db.exec_stmt], which never consults the cache.
+   literal SQL through [Db.exec], which keys cached plans on the text's
+   shape and binds its literals; the uncached replay parses the literal
+   itself and runs it through [Db.exec_stmt], which never consults the
+   cache.  So does the insert trigger's body, which follows the replay.
 
    Three op shapes target what a cached DML plan must not keep: a
    key-changing UPDATE (its uniqueness probe stays), an admin step that
    creates or drops an index on [v] (the plan's access path must follow
    the catalog version), and an insert trigger created mid-trace (CREATE
    TRIGGER does not move the catalog version, so trigger presence must be
-   read per execution). *)
+   read per execution).
+
+   Others target which literals the implicit cache may bind: negative
+   numbers (the parser folds their sign), quoted text with [''], and
+   shapes whose literals sit where a parameter would differ from a
+   literal, so they must not be lifted: [LIMIT n], an IN list of mixed
+   types, a select-list constant and [GROUP BY v + k].  These have no
+   parameter form; the prepared replay sends their literal text. *)
 type op =
   | Insert of int * int * int  (* id, v, session label mask *)
   | Update of int * int * int  (* id, new v, session label mask *)
@@ -59,6 +67,13 @@ type op =
   | Delete_v of int * int      (* v, session label mask *)
   | Index_v of bool            (* admin: create (true) or drop the index on v *)
   | Trigger                    (* admin: create the insert trigger *)
+  | Query_above of int * int   (* rows with v > -k, reader label mask *)
+  | Note of int * int * int    (* id, text number, session label mask *)
+  | Note_query of int * int    (* text number, reader label mask *)
+  | Query_limit of int * int   (* LIMIT n, reader label mask *)
+  | Query_in of int * int      (* v IN (k, 'x'), reader label mask *)
+  | Query_const of int * int   (* select-list constant, reader label mask *)
+  | Query_group of int * int   (* GROUP BY v + k, reader label mask *)
 
 let pp_op = function
   | Insert (id, v, m) -> Printf.sprintf "Insert(%d,%d,%d)" id v m
@@ -70,12 +85,27 @@ let pp_op = function
   | Delete_v (v, m) -> Printf.sprintf "DeleteV(%d,%d)" v m
   | Index_v on -> Printf.sprintf "IndexV(%b)" on
   | Trigger -> "Trigger"
+  | Query_above (k, m) -> Printf.sprintf "QueryAbove(%d,%d)" k m
+  | Note (id, k, m) -> Printf.sprintf "Note(%d,%d,%d)" id k m
+  | Note_query (k, m) -> Printf.sprintf "NoteQuery(%d,%d)" k m
+  | Query_limit (n, m) -> Printf.sprintf "QueryLimit(%d,%d)" n m
+  | Query_in (k, m) -> Printf.sprintf "QueryIn(%d,%d)" k m
+  | Query_const (k, m) -> Printf.sprintf "QueryConst(%d,%d)" k m
+  | Query_group (k, m) -> Printf.sprintf "QueryGroup(%d,%d)" k m
 
 let gen_op =
   QCheck.Gen.(
-    let id = int_bound 7 and v = int_bound 9 and mask = int_bound 3 in
+    let id = int_bound 7 and v = int_range (-9) 9 and mask = int_bound 3 in
+    let k = int_bound 3 in
     frequency
       [
+        (1, map2 (fun x m -> Query_above (x, m)) (int_bound 9) mask);
+        (1, map3 (fun i x m -> Note (i, x, m)) id k mask);
+        (1, map2 (fun x m -> Note_query (x, m)) k mask);
+        (1, map2 (fun n m -> Query_limit (n, m)) (int_range 1 3) mask);
+        (1, map2 (fun x m -> Query_in (x, m)) v mask);
+        (1, map2 (fun x m -> Query_const (x, m)) k mask);
+        (1, map2 (fun x m -> Query_group (x, m)) k mask);
         (4, map3 (fun i x m -> Insert (i, x, m)) id v mask);
         (2, map3 (fun i x m -> Update (i, x, m)) id v mask);
         (2, map2 (fun i m -> Delete (i, m)) id mask);
@@ -87,16 +117,19 @@ let gen_op =
         (1, return Trigger);
       ])
 
-(* Mostly single ops, and now and then one of two blocks that random
+(* Mostly single ops, and now and then one of the blocks that random
    ops rarely line up:
    - two ids inserted under one label, then one re-keyed onto the
      other, which the uniqueness probe must refuse;
    - a [v] lookup planned while the index on [v] exists, the index
      dropped, a row inserted, and the lookup run again: a plan that kept
-     the dropped index would miss the new row. *)
+     the dropped index would miss the new row;
+   - two texts of one shape back to back, under one label and then
+     under another: the second text is served by the first one's
+     template, which must bind its own values. *)
 let gen_trace =
   QCheck.Gen.(
-    let id = int_bound 7 and v = int_bound 9 and mask = int_bound 3 in
+    let id = int_bound 7 and v = int_range (-9) 9 and mask = int_bound 3 in
     let collision =
       map3
         (fun a b m -> [ Insert (a, 0, m); Insert (b, 1, m); Rekey (b, a, m) ])
@@ -109,6 +142,14 @@ let gen_trace =
             Delete_v (x, m) ])
         id v mask
     in
+    let same_shape =
+      map3
+        (fun (a, b) (x, y) (m, m') ->
+          [ Insert (a, x, m); Insert (b, y, m); Query_from (a, m);
+            Query_from (b, m); Query_from (a, m'); Update (a, y, m');
+            Update (b, x, m') ])
+        (pair id id) (pair v v) (pair mask mask)
+    in
     map List.concat
       (list_size (int_range 5 30)
          (frequency
@@ -116,6 +157,7 @@ let gen_trace =
               (12, map (fun op -> [ op ]) gen_op);
               (1, collision);
               (1, reindex);
+              (1, same_shape);
             ])))
 
 type outcome =
@@ -142,7 +184,14 @@ let templates =
     ("rekey", "UPDATE t SET id = $1 WHERE id = $2");
     ("del_v", "DELETE FROM t WHERE v = $1");
     ("sel_log", "SELECT id, v FROM log ORDER BY id, v");
+    ("log_ins", "INSERT INTO log VALUES ($1, $2)");
+    ("sel_above", "SELECT id, v FROM t WHERE v > $1 ORDER BY id, v");
+    ("note", "INSERT INTO notes VALUES ($1, $2)");
+    ("note_sel", "SELECT id, s FROM notes WHERE s = $1 ORDER BY id, s");
+    ("sel_notes", "SELECT id, s FROM notes ORDER BY id, s");
   ]
+
+let note_text k = Printf.sprintf "it's %d" k
 
 type mode = Prepared | Implicit | Uncached
 
@@ -158,6 +207,7 @@ let replay mode ~parallelism ops =
   let tb = Db.create_tag os ~name:"tb" () in
   ignore (Db.exec admin "CREATE TABLE t (id INT PRIMARY KEY, v INT)");
   ignore (Db.exec admin "CREATE TABLE log (id INT, v INT)");
+  ignore (Db.exec admin "CREATE TABLE notes (id INT, s TEXT)");
   let sessions =
     Array.init 4 (fun mask ->
         let s = Db.connect db ~principal:owner in
@@ -177,13 +227,23 @@ let replay mode ~parallelism ops =
     | exception Errors.Constraint_violation m -> Error ("constraint: " ^ m)
     | exception Errors.Sql_error m -> Error ("sql: " ^ m)
   in
+  let run_in s name args literal =
+    match mode with
+    | Prepared -> Db.execute_prepared s name args
+    | Implicit -> Db.exec s literal
+    | Uncached -> Db.exec_stmt s (Ifdb_sql.Parser.parse_one literal)
+  in
   let run mask name args literal =
-    let s = sessions.(mask) in
+    outcome (fun () -> run_in sessions.(mask) name args literal)
+  in
+  (* a shape with no parameter form: the prepared replay sends the
+     literal too *)
+  let run_literal mask literal =
     outcome (fun () ->
         match mode with
-        | Prepared -> Db.execute_prepared s name args
-        | Implicit -> Db.exec s literal
-        | Uncached -> Db.exec_stmt s (Ifdb_sql.Parser.parse_one literal))
+        | Prepared | Implicit -> Db.exec sessions.(mask) literal
+        | Uncached ->
+            Db.exec_stmt sessions.(mask) (Ifdb_sql.Parser.parse_one literal))
   in
   let run_admin literal =
     outcome (fun () ->
@@ -229,13 +289,42 @@ let replay mode ~parallelism ops =
                   ~kinds:[ `Insert ] (fun s ev ->
                     match ev.Db.ev_new with
                     | Some row ->
+                        let id = Tuple.get row 0 and v = Tuple.get row 1 in
                         ignore
-                          (Db.exec s
+                          (run_in s "log_ins" [ id; v ]
                              (Printf.sprintf "INSERT INTO log VALUES (%s, %s)"
-                                (Value.to_string (Tuple.get row 0))
-                                (Value.to_string (Tuple.get row 1))))
+                                (Value.to_string id) (Value.to_string v)))
                     | None -> ());
-                Db.Done "CREATE TRIGGER"))
+                Db.Done "CREATE TRIGGER")
+        | Query_above (k, m) ->
+            run m "sel_above" [ Value.Int (-k) ]
+              (Printf.sprintf "SELECT id, v FROM t WHERE v > -%d ORDER BY id, v"
+                 k)
+        | Note (id, k, m) ->
+            run m "note"
+              [ Value.Int id; Value.Text (note_text k) ]
+              (Printf.sprintf "INSERT INTO notes VALUES (%d, 'it''s %d')" id k)
+        | Note_query (k, m) ->
+            run m "note_sel"
+              [ Value.Text (note_text k) ]
+              (Printf.sprintf
+                 "SELECT id, s FROM notes WHERE s = 'it''s %d' ORDER BY id, s" k)
+        | Query_limit (n, m) ->
+            run_literal m
+              (Printf.sprintf "SELECT id, v FROM t ORDER BY id, v LIMIT %d" n)
+        | Query_in (k, m) ->
+            run_literal m
+              (Printf.sprintf
+                 "SELECT id, v FROM t WHERE v IN (%d, 'x') ORDER BY id, v" k)
+        | Query_const (k, m) ->
+            run_literal m
+              (Printf.sprintf "SELECT id, %d FROM t WHERE v < 5 ORDER BY id" k)
+        | Query_group (k, m) ->
+            run_literal m
+              (Printf.sprintf
+                 "SELECT v + %d, COUNT(*) FROM t WHERE id > 0 GROUP BY v + %d \
+                  ORDER BY v + %d"
+                 k k k))
       ops
   in
   let rows_of = function
@@ -244,7 +333,8 @@ let replay mode ~parallelism ops =
   in
   let final =
     ( rows_of (run 3 "sel" [] "SELECT id, v FROM t ORDER BY id, v"),
-      rows_of (run 3 "sel_log" [] "SELECT id, v FROM log ORDER BY id, v") )
+      rows_of (run 3 "sel_log" [] "SELECT id, v FROM log ORDER BY id, v"),
+      rows_of (run 3 "sel_notes" [] "SELECT id, s FROM notes ORDER BY id, s") )
   in
   (* the statement text differs by design (EXECUTE ... AS ... vs the
      literal); who/what/which-tags must not *)
@@ -264,7 +354,7 @@ let replay mode ~parallelism ops =
   (outcomes, final, audit)
 
 let check_equivalence ~parallelism ops =
-  let ((_, (rows, _), _) as reference) = replay Uncached ~parallelism ops in
+  let ((_, (rows, _, _), _) as reference) = replay Uncached ~parallelism ops in
   (* polyinstantiation: the table holds at most one row per (id, label) *)
   let identities =
     List.map (fun (values, label) -> (List.hd values, label)) rows
@@ -535,8 +625,204 @@ let test_implicit_cache_metrics () =
   Alcotest.(check bool) "explain shows cache verdict" true
     (List.exists (fun l -> contains l "plan cache:") lines)
 
+(* ------------------------------------------------------------------ *)
+(* Statement shapes in the implicit cache                              *)
+(* ------------------------------------------------------------------ *)
+
+let ints rows =
+  List.map
+    (fun t -> List.map Value.to_string (Array.to_list (Tuple.values t)))
+    rows
+
+let shape_fixture () =
+  let db = Db.create () in
+  let s = Db.connect_admin db in
+  ignore (Db.exec s "CREATE TABLE d (id INT PRIMARY KEY, v INT)");
+  ignore (Db.exec s "CREATE INDEX d_v ON d (v)");
+  (db, s)
+
+(* (a) literal DML is served by its shape's template, and each text
+   writes its own values *)
+let test_dml_shape_hit () =
+  let db, s = shape_fixture () in
+  ignore (Db.exec s "INSERT INTO d VALUES (1, 10)");
+  let hits0 = metric db "ifdb_plan_cache_hits_total" in
+  ignore (Db.exec s "INSERT INTO d VALUES (2, 20)");
+  Alcotest.(check (float 0.0)) "second INSERT text is a plan-cache hit"
+    (hits0 +. 1.0) (metric db "ifdb_plan_cache_hits_total");
+  ignore (Db.exec s "UPDATE d SET v = 11 WHERE id = 1");
+  ignore (Db.exec s "UPDATE d SET v = 22 WHERE id = 2");
+  ignore (Db.exec s "DELETE FROM d WHERE id = 3");
+  (match Db.exec s "DELETE FROM d WHERE id = 1" with
+  | Db.Affected 1 -> ()
+  | _ -> Alcotest.fail "the DELETE's own key must bind");
+  Alcotest.(check (float 0.0)) "UPDATE and DELETE texts hit too"
+    (hits0 +. 3.0) (metric db "ifdb_plan_cache_hits_total");
+  Alcotest.(check (list (list string))) "rows carry each text's values"
+    [ [ "2"; "22" ] ]
+    (ints (Db.query s "SELECT id, v FROM d ORDER BY id"))
+
+(* (b) a LIMIT literal is not a parameter: the shape is not lifted, and
+   each text keeps its own entry *)
+let test_limit_not_lifted () =
+  let _db, s = shape_fixture () in
+  ignore (Db.exec s "INSERT INTO d VALUES (1, 10), (2, 20), (3, 30)");
+  let count sql = List.length (Db.query s sql) in
+  Alcotest.(check int) "LIMIT 1" 1 (count "SELECT id FROM d ORDER BY id LIMIT 1");
+  Alcotest.(check int) "LIMIT 2" 2 (count "SELECT id FROM d ORDER BY id LIMIT 2");
+  Alcotest.(check int) "LIMIT 1 again" 1
+    (count "SELECT id FROM d ORDER BY id LIMIT 1")
+
+(* (c) strict mode judges the literal statement, on a shape hit as
+   cold *)
+let test_strict_fk_leak_on_hit () =
+  let fk_db () =
+    let db = Db.create ~strict_analysis:true () in
+    let admin = Db.connect_admin db in
+    let owner = Db.create_principal admin ~name:"owner" in
+    let os = Db.connect db ~principal:owner in
+    ignore (Db.create_tag os ~name:"secret" ());
+    ignore
+      (Db.exec admin "CREATE TABLE parent (id INT NOT NULL, PRIMARY KEY (id))");
+    ignore
+      (Db.exec admin
+         "CREATE TABLE child (id INT, pid INT, FOREIGN KEY (pid) REFERENCES \
+          parent (id))");
+    let ws = Db.connect db ~principal:owner in
+    Db.add_secrecy ws (Db.find_tag db "secret");
+    ignore (Db.exec ws "INSERT INTO parent VALUES (1)");
+    Db.connect db ~principal:owner
+  in
+  let leak s sql =
+    match Db.exec s sql with
+    | exception Errors.Flow_violation m -> m
+    | _ -> Alcotest.failf "strict mode must reject %s" sql
+  in
+  let cold = leak (fk_db ()) "INSERT INTO child VALUES (11, 1)" in
+  let s = fk_db () in
+  ignore (leak s "INSERT INTO child VALUES (10, 1)");
+  Alcotest.(check string) "same rejection on a shape hit" cold
+    (leak s "INSERT INTO child VALUES (11, 1)")
+
+(* (d) one label, two principals: the plan is shared, the DECLASSIFYING
+   authority is not *)
+let test_declassifying_shape_per_principal () =
+  let db = Db.create () in
+  let admin = Db.connect_admin db in
+  let alice = Db.create_principal admin ~name:"alice" in
+  let bob = Db.create_principal admin ~name:"bob" in
+  let a = Db.connect db ~principal:alice in
+  let tag = Db.create_tag a ~name:"sec" () in
+  ignore (Db.exec admin "CREATE TABLE c (id INT PRIMARY KEY, v INT)");
+  let b = Db.connect db ~principal:bob in
+  Db.add_secrecy a tag;
+  Db.add_secrecy b tag;
+  ignore (Db.exec a "INSERT INTO c VALUES (1, 1) DECLASSIFYING (sec)");
+  let hits0 = metric db "ifdb_plan_cache_hits_total" in
+  (match Db.exec b "INSERT INTO c VALUES (2, 2) DECLASSIFYING (sec)" with
+  | exception Errors.Authority_required _ -> ()
+  | _ -> Alcotest.fail "bob holds no authority for sec");
+  Alcotest.(check (float 0.0)) "bob's text reused alice's plan" (hits0 +. 1.0)
+    (metric db "ifdb_plan_cache_hits_total");
+  ignore (Db.exec a "INSERT INTO c VALUES (3, 3) DECLASSIFYING (sec)");
+  Alcotest.(check (list (list string))) "only alice's rows" [ [ "1" ]; [ "3" ] ]
+    (ints (Db.query a "SELECT id FROM c ORDER BY id"))
+
+(* (e) EXPLAIN ANALYZE probes the cache as the explained text would *)
+let test_explain_shape_hit () =
+  let _db, s = shape_fixture () in
+  ignore (Db.exec s "INSERT INTO d VALUES (1, 10), (2, 20)");
+  ignore (Db.query s "SELECT v FROM d WHERE id = 1");
+  let report, result = Db.explain_analyze s "SELECT v FROM d WHERE id = 2" in
+  Alcotest.(check bool) "second text of the shape hits" true
+    (List.mem "plan cache: hit" report);
+  (match result with
+  | Db.Rows { tuples; _ } ->
+      Alcotest.(check (list (list string))) "its own binding" [ [ "20" ] ]
+        (ints tuples)
+  | _ -> Alcotest.fail "expected rows");
+  match Db.exec s "EXPLAIN ANALYZE SELECT v FROM d WHERE id = 3" with
+  | Db.Rows { tuples; _ } ->
+      Alcotest.(check bool) "EXPLAIN ANALYZE through exec hits too" true
+        (List.exists
+           (fun t -> Tuple.get t 0 = Value.Text "plan cache: hit")
+           tuples)
+  | _ -> Alcotest.fail "expected a report"
+
+(* (f) the parser folds [-5] into a constant; the template binds -5 to
+   a plain [$1], which an index prefix can use *)
+let test_negative_literal_binds () =
+  let _db, s = shape_fixture () in
+  ignore (Db.exec s "INSERT INTO d VALUES (1, -5), (2, 5), (3, -6)");
+  Alcotest.(check (list (list string))) "x = -5" [ [ "1" ] ]
+    (ints (Db.query s "SELECT id FROM d WHERE v = -5"));
+  let report, result = Db.explain_analyze s "SELECT id FROM d WHERE v = -6" in
+  (match result with
+  | Db.Rows { tuples; _ } ->
+      Alcotest.(check (list (list string))) "x = -6" [ [ "3" ] ] (ints tuples)
+  | _ -> Alcotest.fail "expected rows");
+  let show = String.concat "\n" report in
+  Alcotest.(check bool) ("served by the template:\n" ^ show) true
+    (List.mem "plan cache: hit" report);
+  Alcotest.(check bool) ("probes the index on v:\n" ^ show) true
+    (List.exists (fun l -> contains l "Scan(d via d_v") report)
+
+(* A binding lives for its statement only: a function that runs a
+   statement of another shape inside an UPDATE leaves the UPDATE's own
+   bindings in place, and nothing outlives either. *)
+let test_nested_exec_keeps_bindings () =
+  let db, s = shape_fixture () in
+  ignore (Db.exec s "INSERT INTO d VALUES (1, 10), (2, 20)");
+  Db.register_scalar db ~name:"probe" (fun s _ ->
+      ignore (Db.exec s "SELECT v FROM d WHERE id = 2");
+      Value.Bool true);
+  ignore (Db.exec s "UPDATE d SET v = 11 WHERE id = 1 AND probe()");
+  ignore (Db.exec s "UPDATE d SET v = 12 WHERE id = 1 AND probe()");
+  Alcotest.(check (list (list string))) "each UPDATE wrote its own value"
+    [ [ "1"; "12" ]; [ "2"; "20" ] ]
+    (ints (Db.query s "SELECT id, v FROM d ORDER BY id"));
+  match Db.exec s "SELECT v FROM d WHERE id = $1" with
+  | exception Errors.Sql_error _ -> ()
+  | _ -> Alcotest.fail "a placeholder outside EXECUTE is unbound"
+
+(* An integer literal or placeholder number too large for an int is a
+   typed error, not a crash. *)
+let test_out_of_range_integer () =
+  let _db, s = shape_fixture () in
+  List.iter
+    (fun sql ->
+      (match Db.exec s sql with
+      | exception Errors.Sql_error _ -> ()
+      | _ -> Alcotest.failf "%s must fail" sql);
+      match Db.analyze s sql with
+      | [ d ] when d.Ifdb_analysis.Diag.d_code = Ifdb_analysis.Diag.Parse_error
+        ->
+          ()
+      | _ -> Alcotest.failf "%s: expected one parse-error diagnostic" sql)
+    [ "SELECT * FROM d WHERE id = 99999999999999999999";
+      "SELECT * FROM d WHERE id = $99999999999999999999" ]
+
 let suites =
   [
+    ( "plan cache shapes",
+      [
+        Alcotest.test_case "DML shape hit writes its own values" `Quick
+          test_dml_shape_hit;
+        Alcotest.test_case "LIMIT texts keep their own rows" `Quick
+          test_limit_not_lifted;
+        Alcotest.test_case "strict FK leak on a shape hit" `Quick
+          test_strict_fk_leak_on_hit;
+        Alcotest.test_case "DECLASSIFYING authority per principal" `Quick
+          test_declassifying_shape_per_principal;
+        Alcotest.test_case "EXPLAIN ANALYZE hit on a shape" `Quick
+          test_explain_shape_hit;
+        Alcotest.test_case "negative literal binds and probes" `Quick
+          test_negative_literal_binds;
+        Alcotest.test_case "nested exec keeps bindings" `Quick
+          test_nested_exec_keeps_bindings;
+        Alcotest.test_case "out-of-range integer literal" `Quick
+          test_out_of_range_integer;
+      ] );
     ( "prepared",
       [
         qcheck_equivalence ~count:40 ~parallelism:1 "prepared = direct (serial)";

@@ -9,7 +9,10 @@ module Datatype = Ifdb_rel.Datatype
 (* ------------------------------------------------------------------ *)
 
 let test_lexer_basics () =
-  let toks = Lexer.tokenize "SELECT a, b2 FROM t WHERE x <= 3.5 -- comment\n AND y <> 'it''s'" in
+  let toks =
+    Array.to_list
+      (Lexer.tokenize "SELECT a, b2 FROM t WHERE x <= 3.5 -- comment\n AND y <> 'it''s'")
+  in
   let expect =
     Token.
       [ Ident "SELECT"; Ident "a"; Comma; Ident "b2"; Ident "FROM"; Ident "t";
@@ -22,13 +25,15 @@ let test_lexer_basics () =
     expect toks
 
 let test_lexer_operators () =
-  let toks = Lexer.tokenize "( ) { } , . ; * + - / % = <> != < <= > >= ||" in
+  let toks =
+    Array.to_list (Lexer.tokenize "( ) { } , . ; * + - / % = <> != < <= > >= ||")
+  in
   Alcotest.(check int) "count" 21 (List.length toks);
   Alcotest.(check string) "neq both spellings" "<>"
     (Token.to_string (List.nth toks 14))
 
 let test_lexer_exponents () =
-  match Lexer.tokenize "1e3 2.5E-2 7" with
+  match Array.to_list (Lexer.tokenize "1e3 2.5E-2 7") with
   | [ Token.Float_lit a; Token.Float_lit b; Token.Int_lit c; Token.Eof ] ->
       Alcotest.(check (float 0.0001)) "1e3" 1000.0 a;
       Alcotest.(check (float 0.0001)) "2.5e-2" 0.025 b;
@@ -42,6 +47,29 @@ let test_lexer_errors () =
   match Lexer.tokenize "a ? b" with
   | exception Lexer.Lex_error _ -> ()
   | _ -> Alcotest.fail "expected Lex_error on ?"
+
+(* A shape masks each literal's value and keeps its kind; the blanks
+   after a literal do not count. *)
+let test_shape_keys () =
+  let key text =
+    match Shape.of_text text with Some sh -> sh.Shape.key | None -> "-"
+  in
+  let same = "SELECT a FROM t WHERE b = 1 AND c = 'x'" in
+  Alcotest.(check string) "values masked" (key same)
+    (key "SELECT a FROM t WHERE b = 22   AND c = 'it''s'");
+  List.iter
+    (fun other ->
+      Alcotest.(check bool) ("differs from " ^ other) false (key same = key other))
+    [ "SELECT a FROM t WHERE b = 1.5 AND c = 'x'";
+      "SELECT a FROM t WHERE b = 1 AND c = 2";
+      "SELECT a FROM t WHERE b = 1 AND d = 'x'" ];
+  Alcotest.(check string) "not SELECT or DML" "-" (key "BEGIN");
+  Alcotest.(check string) "own placeholders" "-" (key "SELECT a FROM t WHERE b = $1");
+  match Shape.of_text "UPDATE t SET c = 'it''s' WHERE b = 7" with
+  | Some sh ->
+      Alcotest.(check (list string)) "literal values in order" [ "'it's'"; "7" ]
+        (List.map Value.to_string (Array.to_list sh.Shape.values))
+  | None -> Alcotest.fail "UPDATE has a shape"
 
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)
@@ -351,6 +379,7 @@ let suites =
         Alcotest.test_case "operators" `Quick test_lexer_operators;
         Alcotest.test_case "exponents" `Quick test_lexer_exponents;
         Alcotest.test_case "errors" `Quick test_lexer_errors;
+        Alcotest.test_case "shape keys" `Quick test_shape_keys;
       ] );
     ( "sql.parser",
       [
