@@ -546,10 +546,10 @@ let scan_verdict s ~heap ~dst =
   Catalog.confine db.lstore heap
     ~dst:(if db.ifc then Label_store.intern db.lstore dst else -1)
 
-let scan_partitions s ~heap ~extra : int array =
-  let { Heap.kept; pruned } =
-    scan_verdict s ~heap ~dst:(Label.union s.s_label extra)
-  in
+(* What a scan under [verdict] owes the observers: the pruned partitions
+   to [ifdb_partition_pruned_total], and under an EXPLAIN ANALYZE trace
+   the tuples they hold. *)
+let count_pruned s ~heap { Heap.kept; pruned } =
   if pruned > 0 then begin
     ignore (Atomic.fetch_and_add s.sdb.pruned_parts pruned);
     (* an EXPLAIN ANALYZE trace still reports the tuples confinement
@@ -566,8 +566,12 @@ let scan_partitions s ~heap ~extra : int array =
              (Trace.scan_entry tr (Heap.name heap)).Trace.sc_pruned
              !pruned_tuples)
     | None -> ()
-  end;
-  kept
+  end
+
+let scan_partitions s ~heap ~extra : int array =
+  let verdict = scan_verdict s ~heap ~dst:(Label.union s.s_label extra) in
+  count_pruned s ~heap verdict;
+  verdict.Heap.kept
 
 (* Open a sequential scan of [heap]: decide its partitions and record
    its footprint.  [None] when no partition can flow to the session: the
@@ -629,33 +633,63 @@ let morsel_scan s ~table ~extra : Executor.morsel_source option =
   if Heap.kept_versions heap kept < 2 * morsel then None
   else Some (merge_source s ~heap ~extra ~morsel)
 
-(* enumerate only the index segments whose label flows to the session:
-   pruning applies to index scans exactly as to heap scans, and the
-   per-segment streams merge into global (key, vid) order.  Lazy:
-   postings stream straight off the leaf chains, so a consumer that
-   stops early (LIMIT, probe join) walks only what it needs. *)
-let index_versions s ~heap ~idx ~prefix ~lo ~hi ~extra : Heap.version Seq.t =
-  let txn = current_txn s "scan" in
-  let kept = scan_partitions s ~heap ~extra in
-  Manager.note_scan s.sdb.mgr txn heap ~kept;
-  if Array.length kept = 0 then Seq.empty
-  else
-    Catalog.seq_index_prefix idx ~kept ~prefix ~lo ~hi
-    |> Seq.filter_map (fun (_key, vid) -> Heap.get_opt heap vid)
-    |> Seq.filter (scan_visible s ~heap txn)
+(* An index probe of [idx] over [heap], opened once for the probes of
+   one operator execution: a probe join's outer rows, a plain index
+   scan's one key, an UPDATE's or DELETE's target lookup.  Each call
+   [probe ~prefix ~lo ~hi] enumerates the postings under one key in the
+   segments whose label flows to the session — pruning applies to index
+   scans exactly as to heap scans — merged into global (key, vid) order,
+   and yields [f v] for each version the snapshot sees.  Lazy: postings
+   stream straight off the leaf chains, so a consumer that stops early
+   (LIMIT, probe join) walks only what it needs.
 
-let scan_prefix_versions s ~table ~index ~prefix ~lo ~hi ~extra =
-  let tbl = Catalog.table s.sdb.cat table in
-  let idx =
-    match
-      List.find_opt
-        (fun i -> norm i.Catalog.idx_name = norm index)
-        tbl.Catalog.tbl_indexes
-    with
-    | Some i -> i
-    | None -> Errors.sql "no such index: %s" index
-  in
-  index_versions s ~heap:tbl.Catalog.tbl_heap ~idx ~prefix ~lo ~hi ~extra
+   The verdict is decided at the first probe (so an operator that never
+   probes takes no lock and makes no decision), and with it the kept
+   segments and the visibility test.  A later probe reuses them while
+   the verdict's inputs stand still: the session label (a user function
+   in an ON condition may raise it), the authority generation (or mint a
+   tag) and the heap's partition epoch (or insert a row under a new
+   label).  When one moved, the probe decides again, exactly as a
+   fresh scan would.  Every probe still counts its pruned partitions and
+   its EXPLAIN ANALYZE tallies; the read locks of an unchanged kept set
+   are already held.  The transaction is read at each decision, not per
+   probe, as a sequential scan reads it once when it opens. *)
+let open_probe s ~heap ~idx ~extra ~f =
+  let db = s.sdb in
+  let d_label = ref Label.empty and d_generation = ref (-1)
+  and d_epoch = ref (-1) and d_verdict = ref { Heap.kept = [||]; pruned = 0 }
+  and d_segs = ref [||] and d_visible = ref (fun _ -> false) in
+  fun ~prefix ~lo ~hi ->
+    let label = s.s_label in
+    let generation = Authority.generation db.auth and epoch = Heap.epoch heap in
+    let fresh =
+      label != !d_label || generation <> !d_generation || epoch <> !d_epoch
+    in
+    let verdict =
+      if fresh then scan_verdict s ~heap ~dst:(Label.union label extra)
+      else !d_verdict
+    in
+    count_pruned s ~heap verdict;
+    if fresh then begin
+      let txn = current_txn s "scan" in
+      Manager.note_scan db.mgr txn heap ~kept:verdict.Heap.kept;
+      d_segs := Catalog.kept_segments idx verdict.Heap.kept;
+      if Array.length verdict.Heap.kept > 0 then
+        d_visible := scan_visible s ~heap txn;
+      d_verdict := verdict;
+      d_label := label;
+      d_generation := generation;
+      d_epoch := epoch
+    end;
+    if Array.length verdict.Heap.kept = 0 then Seq.empty
+    else
+      let visible = !d_visible in
+      Seq.filter_map
+        (fun (_key, vid) ->
+          match Heap.get_opt heap vid with
+          | Some v when visible v -> Some (f v)
+          | Some _ | None -> None)
+        (Catalog.seq_segments !d_segs ~prefix ~lo ~hi)
 
 (* The declassifying-view label transform: strip tags covered by the
    view's declassify label, then apply a relabeling view's (from, to)
@@ -726,10 +760,20 @@ let exec_ctx s : Executor.ctx =
     scan_push =
       (fun ~table ~extra ->
         merge_source s ~heap:(table_heap s table) ~extra ~morsel:max_int);
-    scan_prefix =
-      (fun ~table ~index ~prefix ~lo ~hi ~extra ->
-        Seq.map (fun v -> v.Heap.tuple)
-          (scan_prefix_versions s ~table ~index ~prefix ~lo ~hi ~extra));
+    open_index =
+      (fun ~table ~index ~extra ->
+        let tbl = Catalog.table s.sdb.cat table in
+        let idx =
+          match
+            List.find_opt
+              (fun i -> norm i.Catalog.idx_name = norm index)
+              tbl.Catalog.tbl_indexes
+          with
+          | Some i -> i
+          | None -> Errors.sql "no such index: %s" index
+        in
+        open_probe s ~heap:tbl.Catalog.tbl_heap ~idx ~extra
+          ~f:(fun v -> v.Heap.tuple));
     strip = (fun d relabel l -> strip_label s.sdb d relabel l);
     mv_read =
       (fun ~view ~extra ->
@@ -1164,7 +1208,10 @@ let check_label_constraints s tbl tuple =
    (such a tuple is always visible to the inserter, so refusing reveals
    nothing); a same-key tuple under any other label — hidden or not —
    polyinstantiates instead.  Label constraints (section 5.2.4) are the
-   tool for applications that want to forbid that. *)
+   tool for applications that want to forbid that.  The label half of
+   the identity is the segment: [index_find_label] reads only [lid]'s
+   segment, whose postings all carry [lid], so a candidate needs only
+   the MVCC test. *)
 let check_uniques s txn tbl values lid =
   List.iter
     (fun idx ->
@@ -1176,8 +1223,7 @@ let check_uniques s txn tbl values lid =
               match Heap.get_opt tbl.Catalog.tbl_heap vid with
               | None -> ()
               | Some v ->
-                  if Manager.visible s.sdb.mgr txn v && tuple_label_matches v lid
-                  then
+                  if Manager.visible s.sdb.mgr txn v then
                     constraint_
                       "duplicate key value violates unique constraint %s"
                       idx.Catalog.idx_name)
@@ -1657,8 +1703,8 @@ let dml_targets s dt =
         if Array.exists Value.is_null key || null_bound lo || null_bound hi
         then Seq.empty
         else
-          index_versions s ~heap ~idx:ix ~prefix:key ~lo ~hi
-            ~extra:Label.empty
+          open_probe s ~heap ~idx:ix ~extra:Label.empty ~f:Fun.id ~prefix:key
+            ~lo ~hi
     | By_scan -> scan_versions s ~heap ~extra:Label.empty
   in
   List.of_seq
@@ -2227,13 +2273,16 @@ let explain_rows lines =
           lines;
     }
 
+(* [cache] is the entry [exec] of the explained SELECT's own text would
+   run from, as in [explain_analyze_select]: plain EXPLAIN prints the
+   plan that execution runs. *)
 let exec_explain ?cache s ~analyze stmt =
   match stmt with
   | A.S_select sel ->
       if analyze then explain_rows (fst (explain_analyze_select ?cache s sel))
       else
         in_statement_txn s (fun _txn ->
-            let plan, _columns = Planner.plan_select (pctx s) sel in
+            let plan, _columns = select_of (plan_for ?cache s stmt) in
             explain_rows (plan_lines plan))
   | _ -> Errors.sql "EXPLAIN supports only SELECT statements"
 
@@ -2545,9 +2594,9 @@ let exec s sql_text =
       let parse = if p0 > 0 then Some (p0, Span.now_ns ()) else None in
       let entry =
         match stmt with
-        | A.S_explain { x_analyze = true; x_stmt = A.S_select _ } ->
+        | A.S_explain { x_analyze; x_stmt = A.S_select _ } ->
             (* probe the cache as the explained SELECT's own text would *)
-            snd (implicit_lookup db (explained_text text ~analyze:true))
+            snd (implicit_lookup db (explained_text text ~analyze:x_analyze))
         | _ -> entry
       in
       with_entry s entry (fun cache -> exec_stmt_guarded ?cache ?parse s stmt))

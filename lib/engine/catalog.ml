@@ -269,16 +269,23 @@ let compare_posting (k1, v1) (k2, v2) =
   let c = Btree.compare_key k1 k2 in
   if c <> 0 then c else compare (v1 : int) v2
 
-let seq_index_prefix idx ~kept ~prefix ~lo ~hi : (Btree.key * int) Seq.t =
-  let streams =
-    Array.fold_left
-      (fun acc lid ->
-        match Hashtbl.find_opt idx.idx_segs lid with
-        | Some tree -> Btree.seq_prefix_range tree ~prefix ~lo ~hi :: acc
-        | None -> acc)
-      [] kept
-  in
-  merge_seqs compare_posting streams
+let kept_segments idx kept =
+  Array.of_list
+    (Array.fold_right
+       (fun lid acc ->
+         match Hashtbl.find_opt idx.idx_segs lid with
+         | Some tree -> tree :: acc
+         | None -> acc)
+       kept [])
+
+let seq_segments segs ~prefix ~lo ~hi : (Btree.key * int) Seq.t =
+  match segs with
+  | [| tree |] -> Btree.seq_prefix_range tree ~prefix ~lo ~hi
+  | _ ->
+      merge_seqs compare_posting
+        (Array.fold_left
+           (fun acc tree -> Btree.seq_prefix_range tree ~prefix ~lo ~hi :: acc)
+           [] segs)
 
 let iter_index_entries idx f =
   Seq.iter

@@ -22,7 +22,7 @@ type index = {
   idx_segs : (int, Ifdb_storage.Btree.t) Hashtbl.t;
       (** one B-tree segment per interned label id of a stored tuple,
           created by the first insert under that id; a lookup never
-          creates one.  Go through {!index_find} / {!seq_index_prefix}
+          creates one.  Go through {!index_find} / {!seq_segments}
           rather than reading it directly. *)
 }
 
@@ -153,17 +153,20 @@ val index_find_label : index -> Value.t array -> lid:int -> int list
     when no tuple under [lid] was ever indexed.  The probe creates no
     segment. *)
 
-val seq_index_prefix :
-  index ->
-  kept:int array ->
+val kept_segments : index -> int array -> Ifdb_storage.Btree.t array
+(** The segments of the label ids in [kept] (a confinement verdict's,
+    see {!confine}), in [kept]'s order; ids without a segment are
+    skipped.  An index probe resolves them once per verdict. *)
+
+val seq_segments :
+  Ifdb_storage.Btree.t array ->
   prefix:Value.t array ->
   lo:(Value.t * bool) option ->
   hi:(Value.t * bool) option ->
   (Value.t array * int) Seq.t
-(** Lazy prefix/range scan in (key, vid) order over the segments of the
-    label ids in [kept] (a confinement verdict's, see {!confine}); only
-    those segments are opened, so a probe costs O(kept) setup whatever
-    the number of segments. *)
+(** Lazy prefix/range scan in (key, vid) order over the given segments:
+    one B-tree seek per segment, whatever the number of segments the
+    index holds, then a merge of the per-segment streams. *)
 
 val iter_index_entries : index -> (Value.t array -> int -> unit) -> unit
 (** Every posting in (key, vid) order, across all segments. *)

@@ -16,14 +16,15 @@ type par = {
   par_scan : table:string -> extra:Label.t -> morsel_source option;
 }
 
+type index_probe =
+  prefix:Value.t array -> lo:(Value.t * bool) option ->
+  hi:(Value.t * bool) option -> Tuple.t Seq.t
+
 type ctx = {
   fenv : Expr.env;
   scan_table : string -> extra:Label.t -> Tuple.t Seq.t;
   scan_push : table:string -> extra:Label.t -> morsel_source;
-  scan_prefix :
-    table:string -> index:string -> prefix:Value.t array ->
-    lo:(Value.t * bool) option -> hi:(Value.t * bool) option ->
-    extra:Label.t -> Tuple.t Seq.t;
+  open_index : table:string -> index:string -> extra:Label.t -> index_probe;
   strip :
     Label.t -> (Ifdb_difc.Tag.t * Ifdb_difc.Tag.t) list -> Label.t -> Label.t;
   mv_read : view:string -> extra:Label.t -> Tuple.t list option;
@@ -322,12 +323,14 @@ let fusable_aggregate ~keys ~aggs =
 
 (* Index nested loop: per left row, evaluate the probe key and fetch
    matching right rows through the index; re-check the full condition
-   on the merged row. *)
+   on the merged row.  The index is opened once, at the first left row,
+   so a join whose left side is empty opens nothing. *)
 let probe_join ctx ~left_rows ~table ~index ~extra ~probe_exprs ~kind ~cond
     ~right_arity =
   let eval_cond merged =
     match cond with None -> true | Some e -> Expr.eval_pred ctx.fenv merged e
   in
+  let probe = lazy (ctx.open_index ~table ~index ~extra) in
   Seq.concat_map
     (fun lrow ->
       let prefix =
@@ -340,7 +343,7 @@ let probe_join ctx ~left_rows ~table ~index ~extra ~probe_exprs ~kind ~cond
             (fun rrow ->
               let merged = concat_rows lrow rrow in
               if eval_cond merged then Some merged else None)
-            (ctx.scan_prefix ~table ~index ~prefix ~lo:None ~hi:None ~extra)
+            (Lazy.force probe ~prefix ~lo:None ~hi:None)
       in
       match kind with
       | `Inner -> matches
@@ -692,8 +695,8 @@ and run_serial ctx (plan : Plan.t) : Tuple.t Seq.t =
           if Array.exists Value.is_null key || null_bound lo || null_bound hi
           then Seq.empty
           else
-            ctx.scan_prefix ~table:sc_table ~index ~prefix:key ~lo ~hi
-              ~extra:sc_extra)
+            ctx.open_index ~table:sc_table ~index ~extra:sc_extra ~prefix:key
+              ~lo ~hi)
   | Plan.Filter (src, pred) ->
       Seq.filter (fun row -> Expr.eval_pred ctx.fenv row pred) (run ctx src)
   | Plan.Project (src, exprs) ->

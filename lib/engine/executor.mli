@@ -2,7 +2,7 @@
 
     The executor is deliberately ignorant of visibility and
     information-flow policy: it obtains rows only through the
-    [scan_table]/[scan_prefix] callbacks of its context, which the core
+    [scan_table]/[open_index] callbacks of its context, which the core
     implements with MVCC visibility {e and} the Label Confinement Rule
     applied.  This mirrors the paper's placement of enforcement at the
     tuple access layer (section 7.1): bugs in planning or execution
@@ -41,6 +41,15 @@ type par = {
     session's snapshot: the core only installs [par] for plans that
     cannot write, and all writes stay single-threaded. *)
 
+type index_probe =
+  prefix:Value.t array ->
+  lo:(Value.t * bool) option ->
+  hi:(Value.t * bool) option ->
+  Tuple.t Seq.t
+(** One lookup through an opened index: the rows whose index key starts
+    with [prefix], optionally range-bounded on the next key component
+    ([(value, inclusive)]). *)
+
 type ctx = {
   fenv : Expr.env;
   scan_table : string -> extra:Label.t -> Tuple.t Seq.t;
@@ -53,13 +62,17 @@ type ctx = {
           scan/filter/project/declassify source folds rows inside the
           scan's callback instead of pulling them through a lazy
           sequence *)
-  scan_prefix :
-    table:string -> index:string -> prefix:Value.t array ->
-    lo:(Value.t * bool) option -> hi:(Value.t * bool) option ->
-    extra:Label.t -> Tuple.t Seq.t;
-      (** index-assisted variant: rows whose index key starts with
-          [prefix], optionally range-bounded on the next key component
-          ([(value, inclusive)]) *)
+  open_index : table:string -> index:string -> extra:Label.t -> index_probe;
+      (** the index-assisted counterpart of [scan_table]: opens [index]
+          of [table] for one operator execution and returns its lookup,
+          which a probe join calls once per outer row and a plain index
+          scan once.  Opening resolves the table and index; the first
+          lookup decides confinement, takes the serializable read locks
+          and resolves the kept segments and the visibility test, and
+          later lookups reuse them until the session label, the
+          authority generation or the heap's partition epoch moves.
+          Every lookup counts its pruned partitions.  The lookup must
+          not outlive the statement. *)
   strip :
     Label.t -> (Ifdb_difc.Tag.t * Ifdb_difc.Tag.t) list -> Label.t -> Label.t;
       (** [strip declassified relabel row_label]: remove tags covered by

@@ -9,13 +9,16 @@ type version = {
 (* One label partition of a heap: the versions carrying one interned
    label id.  [p_vids] is the partition's slice of the vid space in
    ascending order — the authoritative directory a pruned scan
-   enumerates instead of filtering per tuple.  Each partition appends
-   to its own page run, so tuples under one label never share a page
-   with another label's. *)
+   enumerates instead of filtering per tuple.  It holds every
+   non-vacuumed version of the partition, and vacuumed ones until a
+   vacuum pass compacts it ([compact]).  Each partition appends to its
+   own page run, so tuples under one label never share a page with
+   another label's. *)
 type partition = {
   p_lid : int;
-  mutable p_vids : int array; (* ascending, append-only *)
-  mutable p_len : int;        (* appended versions (including vacuumed) *)
+  mutable p_vids : int array; (* ascending; growth and compaction replace
+                                 the array, never rewrite it *)
+  mutable p_len : int;        (* directory entries (vacuumed included) *)
   mutable p_count : int;      (* non-vacuumed versions *)
   mutable p_live : int;       (* versions not yet deleted-and-committed *)
   mutable p_current_page : int; (* -1 until the first insert *)
@@ -141,6 +144,7 @@ type partition_stats = {
   ps_versions : int; (* non-vacuumed versions *)
   ps_live : int;     (* versions not deleted-and-committed *)
   ps_pages : int;    (* pages owned *)
+  ps_directory : int; (* directory entries *)
 }
 
 let partition_stats t =
@@ -148,7 +152,7 @@ let partition_stats t =
     (fun lid p acc ->
       if p.p_count > 0 then
         { ps_lid = lid; ps_versions = p.p_count; ps_live = p.p_live;
-          ps_pages = p.p_pages }
+          ps_pages = p.p_pages; ps_directory = p.p_len }
         :: acc
       else acc)
     t.parts []
@@ -194,6 +198,7 @@ let kept_versions t kept =
       | None -> n)
     0 kept
 
+let epoch t = t.epoch
 let name t = t.heap_name
 let pool t = t.bp
 
@@ -310,6 +315,29 @@ let reclaim t vid =
     end
   end
 
+(* A partition's directory keeps the vids of versions vacuum reclaimed
+   until it holds more than twice its non-vacuumed versions (and more
+   than [compact_floor] entries); then it is rebuilt to hold exactly
+   those, in vid order.  The rebuild reads every entry, but at least
+   half of them were reclaimed since the last one, so it costs O(1) per
+   reclaimed version.  It fills a new array and leaves the old one as it
+   was: an open merge cursor may still be reading it. *)
+let compact_floor = 16
+
+let compact t p =
+  if p.p_len > compact_floor && p.p_len > 2 * p.p_count then begin
+    let vids = Array.make (max 8 p.p_count) 0 and n = ref 0 in
+    for i = 0 to p.p_len - 1 do
+      let vid = p.p_vids.(i) in
+      if t.slots.(vid) != hole then begin
+        vids.(!n) <- vid;
+        incr n
+      end
+    done;
+    p.p_vids <- vids;
+    p.p_len <- !n
+  end
+
 let vacuum_retired t ~dead ~on_reclaim =
   (* take the queue and start a fresh small one: a burst of retirements
      (a bulk load's updates) must not pin a large array after the pass *)
@@ -352,6 +380,10 @@ let vacuum_retired t ~dead ~on_reclaim =
     vids;
   if !kept <> [] then
     Mutex.protect t.retire_mu (fun () -> List.iter (queue_retired t) !kept);
+  (* only reclaiming pushes a directory over the threshold (an insert
+     adds an entry and a version alike), so the partitions this pass
+     reclaimed from are the ones a check of every partition rebuilds *)
+  if !removed > 0 then Hashtbl.iter (fun _ p -> compact t p) t.parts;
   !removed
 
 let to_seq t =
@@ -385,11 +417,46 @@ let to_seq t =
    keyed by the cursor's next vid, and gallops: the top cursor keeps
    emitting while its vids stay below [m_bound], the smallest head among
    the other cursors, so only the end of a run consults the heap: a
-   version inside a run costs O(1), one ending a run O(log k). *)
+   version inside a run costs O(1), one ending a run O(log k).
 
-type cursor = { c_part : partition; mutable c_pos : int }
+   A cursor reads its own copy of its partition's directory array and
+   length.  Only when it has emitted the last entry of that copy does
+   it re-read the partition ([refill]), so versions appended meanwhile
+   are still seen, and a directory replaced by growth or compaction is
+   picked up without any per-version check inside a run. *)
 
-let head c = c.c_part.p_vids.(c.c_pos)
+type cursor = {
+  c_part : partition;
+  mutable c_vids : int array; (* the directory array this cursor reads *)
+  mutable c_len : int;        (* its length when last read *)
+  mutable c_pos : int;
+}
+
+let head c = c.c_vids.(c.c_pos)
+
+(* the first position in [vids.(0 .. len - 1)] whose vid is >= [x] *)
+let search vids len x =
+  let a = ref 0 and b = ref len in
+  while !a < !b do
+    let m = (!a + !b) / 2 in
+    if vids.(m) < x then a := m + 1 else b := m
+  done;
+  !a
+
+(* [c] has emitted [last], the final entry of its copy of the
+   directory: re-read its partition.  The same array may have grown in
+   place (appends land past the copied length); a replaced one (growth,
+   compaction) is searched for the first vid past [last], so the cursor
+   neither repeats nor skips a version.  Whether an entry is left. *)
+let refill c ~last =
+  let p = c.c_part in
+  if p.p_vids == c.c_vids then c.c_pos <- c.c_pos + 1
+  else begin
+    c.c_vids <- p.p_vids;
+    c.c_pos <- search p.p_vids p.p_len (last + 1)
+  end;
+  c.c_len <- p.p_len;
+  c.c_pos < c.c_len
 
 type merge = {
   m_cursors : cursor array; (* a min-heap on [head] over [0, m_size) *)
@@ -435,14 +502,10 @@ let merge_start t ~kept ~lo ~hi =
       (fun acc lid ->
         match Hashtbl.find_opt t.parts lid with
         | Some p when p.p_count > 0 ->
-            (* binary search for the first position with vid >= lo *)
-            let a = ref 0 and b = ref p.p_len in
-            while !a < !b do
-              let m = (!a + !b) / 2 in
-              if p.p_vids.(m) < lo then a := m + 1 else b := m
-            done;
-            if !a < p.p_len && p.p_vids.(!a) < hi then
-              { c_part = p; c_pos = !a } :: acc
+            let pos = search p.p_vids p.p_len lo in
+            if pos < p.p_len && p.p_vids.(pos) < hi then
+              { c_part = p; c_vids = p.p_vids; c_len = p.p_len; c_pos = pos }
+              :: acc
             else acc
         | Some _ | None -> acc)
       [] kept
@@ -462,20 +525,28 @@ let merge_start t ~kept ~lo ~hi =
   reset_bound m;
   m
 
-(* The next vid in global order, or -1 once every cursor is done.  The
-   directory length is re-read on each step, so a lazy merge sees
-   versions a kept partition appended after it started, as a full scan
-   would. *)
+(* The next vid in global order, or -1 once every cursor is done.  A
+   cursor that reaches the end of its directory copy re-reads the
+   partition, so a lazy merge sees versions a kept partition appended
+   after it started, as a full scan would, and survives a compaction
+   of the directory by a vacuum run while it is open. *)
 let merge_next m =
   if m.m_size = 0 then -1
   else begin
     let top = m.m_cursors.(0) in
-    let p = top.c_part in
-    let vid = p.p_vids.(top.c_pos) in
+    let vid = top.c_vids.(top.c_pos) in
     let next = top.c_pos + 1 in
-    if next < p.p_len && p.p_vids.(next) < m.m_hi then begin
-      top.c_pos <- next;
-      if p.p_vids.(next) > m.m_bound then begin
+    (* the top's next vid, [max_int] when it has none *)
+    let nv =
+      if next < top.c_len then begin
+        top.c_pos <- next;
+        top.c_vids.(next)
+      end
+      else if refill top ~last:vid then top.c_vids.(top.c_pos)
+      else max_int
+    in
+    if nv < m.m_hi then begin
+      if nv > m.m_bound then begin
         (* the run ended: another cursor holds a smaller vid *)
         sift_down m 0;
         reset_bound m

@@ -14,7 +14,10 @@
     {b Label partitions.}  The heap is label-sharded: a partition
     directory keyed by interned label id records each partition's slice
     of the vid space in ascending order, maintained incrementally on
-    insert/vacuum — never rebuilt by scanning.  Each partition owns its
+    insert and vacuum — never rebuilt by scanning the heap.  A vacuum
+    pass compacts a partition's slice once vacuumed versions make up
+    more than half of it, so a merged scan costs what the partition
+    holds, not what it ever held.  Each partition owns its
     page run, so tuples under different labels never share a page and
     label confinement prunes whole page runs by construction.  The
     merged-scan primitives
@@ -53,6 +56,11 @@ val create :
 
 val name : t -> string
 val pool : t -> Buffer_pool.t
+
+val epoch : t -> int
+(** The partition epoch (see {!confine}): it moves exactly when the set
+    of non-empty partitions changes, so a caller holding a verdict can
+    tell whether a new partition may have appeared since. *)
 
 val insert : t -> xmin:int -> Ifdb_rel.Tuple.t -> version
 (** Append a new version (dirties its page).  The tuple's label must be
@@ -102,6 +110,11 @@ val vacuum_retired :
     satisfying [dead] is passed to [on_reclaim] (to drop its index
     entries) and then {!reclaim}ed; the others stay queued for the next
     pass.  Charges one buffer-pool touch per distinct page visited.
+    After a pass that removed versions, each partition whose directory
+    holds more than twice its non-vacuumed versions (and more than 16
+    entries) is rebuilt to hold exactly those, in vid order — amortized
+    O(1) per reclaimed version.  A merge open across the pass neither
+    skips nor repeats a version (see {!seq_merge}).
     Returns how many versions were removed.  The garbage collector is
     exempt from information flow rules (section 7.1) — it never
     inspects labels. *)
@@ -145,6 +158,9 @@ type partition_stats = {
   ps_versions : int; (** non-vacuumed versions *)
   ps_live : int;     (** versions not deleted-and-committed *)
   ps_pages : int;    (** pages owned; they sum to {!page_count} *)
+  ps_directory : int;
+      (** entries in the partition's vid directory: its non-vacuumed
+          versions plus those vacuumed since the last compaction *)
 }
 
 val partition_stats : t -> partition_stats list
@@ -218,5 +234,10 @@ val seq_merge : t -> kept:int array -> version Seq.t
     by one version and touches at most that version's page, so [LIMIT]
     and probe joins stop early.  Versions a kept partition appends
     while the sequence is being consumed are seen if that partition's
-    cursor has not run out yet.  The sequence is ephemeral: consume it
+    cursor has not run out yet.  A vacuum pass may run while the
+    sequence is open (a user function can call it mid-scan): a cursor
+    keeps reading the directory array it started on, and when that runs
+    out it re-reads its partition and, if the array was replaced, finds
+    the first vid past the last one it emitted, so the merge neither
+    skips nor repeats a version.  The sequence is ephemeral: consume it
     once. *)

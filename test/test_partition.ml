@@ -507,6 +507,154 @@ let test_fused_aggregate_explain () =
   Alcotest.(check int) "five groups" 5 (List.length serial_groups)
 
 (* ------------------------------------------------------------------ *)
+(* Index probes opened once per join                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A public outer table [o] (ids 1-6, key [k] = id, NULL for id 6) and
+   an inner table [i] keyed by [k]: keys 1-5 public (v = 10k), keys 1-5
+   under {ta} (v = 10k + 1) and keys 2-5 under {tb} (v = 10k + 2), each
+   a polyinstantiation of the public row. *)
+let probe_fixture ?isolation () =
+  let db = Db.create ?isolation () in
+  let admin = Db.connect_admin db in
+  let owner = Db.create_principal admin ~name:"owner" in
+  let os = Db.connect db ~principal:owner in
+  let ta = Db.create_tag os ~name:"ta" () in
+  let tb = Db.create_tag os ~name:"tb" () in
+  ignore (Db.exec admin "CREATE TABLE o (id INT PRIMARY KEY, k INT)");
+  ignore (Db.exec admin "CREATE TABLE i (k INT PRIMARY KEY, v INT)");
+  ignore
+    (Db.exec admin
+       "INSERT INTO o VALUES (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, NULL)");
+  List.iter
+    (fun (tags, keys, off) ->
+      let s = Db.connect db ~principal:owner in
+      List.iter (Db.add_secrecy s) tags;
+      ignore
+        (Db.exec s
+           ("INSERT INTO i VALUES "
+           ^ String.concat ", "
+               (List.map
+                  (fun k -> Printf.sprintf "(%d, %d)" k ((10 * k) + off))
+                  keys))))
+    [ ([], [ 1; 2; 3; 4; 5 ], 0); ([ ta ], [ 1; 2; 3; 4; 5 ], 1);
+      ([ tb ], [ 2; 3; 4; 5 ], 2) ];
+  (db, owner, ta, tb)
+
+let rows_of tuples =
+  List.map
+    (fun t -> List.map Value.to_string (Array.to_list (Tuple.values t)))
+    tuples
+
+(* EXPLAIN ANALYZE tallies an index probe join per probe: every outer
+   row with a key pays its kept partitions' visible tuples into
+   [scanned] and the pruned partitions' tuples into [pruned]; the NULL
+   key probes nothing.  Golden lines, as the per-row probe printed them
+   before the probe was opened once per join. *)
+let test_probe_join_explain_golden () =
+  let db, owner, ta, _ = probe_fixture () in
+  let confinement sql ~tags =
+    let s = Db.connect db ~principal:owner in
+    List.iter (Db.add_secrecy s) tags;
+    let report, _ = Db.explain_analyze s sql in
+    ( String.concat "\n" report,
+      List.filter
+        (fun l ->
+          String.length l >= 20 && String.sub l 0 20 = "label confinement on")
+        report )
+  in
+  let check name sql ~tags want =
+    let report, got = confinement sql ~tags in
+    Alcotest.(check (list string)) (name ^ ":\n" ^ report) want got
+  in
+  check "inner join under {ta}"
+    "SELECT o.id, i.v FROM o JOIN i ON o.k = i.k" ~tags:[ ta ]
+    [ "label confinement on o: scanned=6 pruned=0";
+      "label confinement on i: scanned=10 pruned=20" ];
+  check "left join under {}"
+    "SELECT o.id, i.v FROM o LEFT JOIN i ON o.k = i.k" ~tags:[]
+    [ "label confinement on o: scanned=6 pruned=0";
+      "label confinement on i: scanned=5 pruned=45" ]
+
+(* A user function in the ON condition raises the session label at the
+   third outer row.  Each outer row gets exactly the rows its label
+   allowed when its probe ran: the first three probes ran under {}, the
+   last two under {ta}.  A second function inserts a row under a label
+   the inner table did not hold yet, creating a partition mid-join: the
+   later probes see it. *)
+let test_probe_join_redecides () =
+  let db, owner, ta, tb = probe_fixture () in
+  let s = Db.connect db ~principal:owner in
+  Db.register_scalar db ~name:"raise_at" (fun s args ->
+      (match args with
+      | [ Value.Int id; _ ] when id = 3 -> Db.add_secrecy s ta
+      | _ -> ());
+      Value.Int 1);
+  let rows =
+    Db.query s
+      "SELECT o.id, i.v FROM o JOIN i ON o.k = i.k AND raise_at(o.id, i.v) = 1"
+  in
+  Alcotest.(check (list (list string)))
+    "rows as each probe's label allowed"
+    [ [ "1"; "10" ]; [ "2"; "20" ]; [ "3"; "30" ]; [ "4"; "40" ]; [ "4"; "41" ];
+      [ "5"; "50" ]; [ "5"; "51" ] ]
+    (rows_of rows);
+  Alcotest.(check bool) "the label was raised mid-join" false
+    (Label.is_empty (Db.session_label s));
+  (* a new partition: {ta, tb} holds nothing in [i] until the second
+     outer row's condition inserts key 5 under it *)
+  let s = Db.connect db ~principal:owner in
+  Db.add_secrecy s ta;
+  Db.add_secrecy s tb;
+  let inserted = ref false in
+  Db.register_scalar db ~name:"insert_at" (fun s args ->
+      (match args with
+      | [ Value.Int 2; _ ] when not !inserted ->
+          inserted := true;
+          ignore (Db.exec s "INSERT INTO i VALUES (5, 53)")
+      | _ -> ());
+      Value.Int 1);
+  let rows =
+    Db.query s
+      "SELECT o.id, i.v FROM o JOIN i ON o.k = i.k AND insert_at(o.id, i.v) = 1"
+  in
+  Alcotest.(check (list string))
+    "the last probe sees the row inserted under a new label"
+    [ "50"; "51"; "52"; "53" ]
+    (List.sort compare
+       (List.filter_map
+          (function [ "5"; v ] -> Some v | _ -> None)
+          (rows_of rows)))
+
+(* A probe join whose outer side is empty opens no probe: under
+   serializable isolation it takes no lock on the inner table (a writer
+   may create a partition there and write the public one) and it counts
+   no pruned partition. *)
+let test_probe_join_empty_outer () =
+  let db, owner, ta, tb = probe_fixture ~isolation:Db.Serializable () in
+  let reader = Db.connect db ~principal:owner in
+  ignore (Db.exec reader "BEGIN");
+  let before = Db.partitions_pruned db in
+  let rows =
+    Db.query reader "SELECT o.id, i.v FROM o JOIN i ON o.k = i.k WHERE o.id > 99"
+  in
+  Alcotest.(check int) "no rows" 0 (List.length rows);
+  Alcotest.(check int) "no partition pruned" before (Db.partitions_pruned db);
+  let writes what tags sql =
+    let s = Db.connect db ~principal:owner in
+    List.iter (Db.add_secrecy s) tags;
+    match Db.exec s sql with
+    | Db.Affected 1 -> ()
+    | _ -> Alcotest.failf "%s: expected one affected row" what
+    | exception e ->
+        Alcotest.failf "%s: %s" what (Printexc.to_string e)
+  in
+  writes "a write to the public partition" [] "INSERT INTO i VALUES (7, 70)";
+  writes "a write creating a partition" [ ta; tb ]
+    "INSERT INTO i VALUES (7, 73)";
+  ignore (Db.exec reader "COMMIT")
+
+(* ------------------------------------------------------------------ *)
 (* IVM deltas skip foreign partitions                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -569,6 +717,12 @@ let suites =
           test_index_segments;
         Alcotest.test_case "vacuum retires a cached verdict" `Quick
           test_vacuum_retires_verdict;
+        Alcotest.test_case "probe join EXPLAIN ANALYZE golden" `Quick
+          test_probe_join_explain_golden;
+        Alcotest.test_case "probe join re-decides per probe" `Quick
+          test_probe_join_redecides;
+        Alcotest.test_case "probe join with an empty outer side" `Quick
+          test_probe_join_empty_outer;
         Alcotest.test_case "fused serial aggregate in EXPLAIN ANALYZE" `Quick
           test_fused_aggregate_explain;
         Alcotest.test_case "IVM skips foreign partitions" `Quick

@@ -749,6 +749,53 @@ let test_explain_shape_hit () =
            tuples)
   | _ -> Alcotest.fail "expected a report"
 
+(* (g) plain EXPLAIN probes the cache as EXPLAIN ANALYZE does: for a
+   text of a lifted shape it prints the template's plan, the plan every
+   execution of the shape runs, line for line what EXPLAIN ANALYZE of
+   the same text reports without its row counts and times, and it counts
+   one plan-cache lookup *)
+let test_plain_explain_shape () =
+  let db, s = shape_fixture () in
+  ignore (Db.exec s "INSERT INTO d VALUES (1, 10), (2, 20)");
+  ignore (Db.query s "SELECT v FROM d WHERE id = 1");
+  let lines sql =
+    match Db.exec s sql with
+    | Db.Rows { tuples; _ } ->
+        List.map
+          (fun t ->
+            match Tuple.get t 0 with
+            | Value.Text l -> l
+            | v -> Value.to_string v)
+          tuples
+    | _ -> Alcotest.failf "%s: expected a report" sql
+  in
+  let lookups () =
+    metric db "ifdb_plan_cache_hits_total"
+    +. metric db "ifdb_plan_cache_misses_total"
+  in
+  let before = lookups () in
+  let plain = lines "EXPLAIN SELECT v FROM d WHERE id = 3" in
+  Alcotest.(check (float 0.0)) "one plan-cache lookup" (before +. 1.0)
+    (lookups ());
+  let analyzed = lines "EXPLAIN ANALYZE SELECT v FROM d WHERE id = 3" in
+  (* an operator line of the report reads "<plan line>  (rows=… time=…)" *)
+  let operator l =
+    let rec find i =
+      if i + 8 > String.length l then None
+      else if String.sub l i 8 = "  (rows=" then Some (String.sub l 0 i)
+      else find (i + 1)
+    in
+    find 0
+  in
+  let show = String.concat "\n" in
+  Alcotest.(check (list string))
+    ("the executed plan:\n" ^ show analyzed)
+    (List.filter_map operator analyzed)
+    plain;
+  Alcotest.(check bool) ("the literal is the template's ?1:\n" ^ show plain)
+    true
+    (List.exists (fun l -> contains l "?1") plain)
+
 (* (f) the parser folds [-5] into a constant; the template binds -5 to
    a plain [$1], which an index prefix can use *)
 let test_negative_literal_binds () =
@@ -816,6 +863,8 @@ let suites =
           test_declassifying_shape_per_principal;
         Alcotest.test_case "EXPLAIN ANALYZE hit on a shape" `Quick
           test_explain_shape_hit;
+        Alcotest.test_case "plain EXPLAIN shows the executed plan" `Quick
+          test_plain_explain_shape;
         Alcotest.test_case "negative literal binds and probes" `Quick
           test_negative_literal_binds;
         Alcotest.test_case "nested exec keeps bindings" `Quick

@@ -340,20 +340,29 @@ let test_heap_partitions () =
   Alcotest.(check int) "vacuumed" 120 removed;
   check_merge "after vacuum"
 
-(* A heap whose version [i] carries label id [lids.(i)]; 300-byte rows
-   put about two dozen versions on a page, so partitions span pages. *)
+(* Append a version under label id [lid]: 300-byte rows put about two
+   dozen versions on a page, so partitions span pages. *)
+let insert_lid h lid =
+  Heap.insert h ~xmin:1
+    (Tuple.make_interned ~label:(Label.of_ints [| lid + 1 |]) ~label_id:lid
+       ~values:[| Value.Int (Heap.slot_count h); Value.Text (String.make 300 'x') |])
+
+(* A heap whose version [i] carries label id [lids.(i)]. *)
 let heap_of_lids lids =
   let bp = Buffer_pool.create () in
   let h = Heap.create ~name:"t" ~labeled:true ~pool:bp () in
-  Array.iteri
-    (fun i lid ->
-      ignore
-        (Heap.insert h ~xmin:1
-           (Tuple.make_interned ~label:(Label.of_ints [| lid + 1 |])
-              ~label_id:lid
-              ~values:[| Value.Int i; Value.Text (String.make 300 'x') |])))
-    lids;
+  Array.iter (fun lid -> ignore (insert_lid h lid)) lids;
   (h, bp)
+
+(* One vacuum pass, as the engine runs it, over the versions [dead]
+   selects: each is retired (queued), then reclaimed by the pass, which
+   compacts the directories it thinned out. *)
+let vacuum_pass h dead =
+  Heap.iter h (fun v ->
+      if dead v then
+        Heap.retire_version h ~vid:v.Heap.vid
+          ~lid:(Tuple.label_id v.Heap.tuple));
+  Heap.vacuum_retired h ~dead:(fun _ -> true) ~on_reclaim:ignore
 
 let touches bp f =
   Buffer_pool.reset_stats bp;
@@ -403,10 +412,13 @@ let gen_merge_case =
     let* lo = int_range (-5) (n + 5) in
     let* hi = int_range (-5) (n + 5) in
     let* vacuum_mod = int_range 0 6 in
-    return (layout, lids, kept, lo, hi, vacuum_mod))
+    let* cut = int_range 0 (n + 1) in
+    let* appends = list_size (int_bound 40) (int_bound (k - 1)) in
+    return (layout, lids, kept, lo, hi, vacuum_mod, cut, appends))
 
-let print_merge_case (layout, lids, kept, lo, hi, vacuum_mod) =
-  Printf.sprintf "%s %d versions, keep [%s], [%d, %d), vacuum mod %d"
+let print_merge_case (layout, lids, kept, lo, hi, vacuum_mod, cut, appends) =
+  Printf.sprintf
+    "%s %d versions, keep [%s], [%d, %d), vacuum mod %d, cut %d, appends [%s]"
     (match layout with
     | Runs -> "runs"
     | Round_robin -> "round-robin"
@@ -416,17 +428,32 @@ let print_merge_case (layout, lids, kept, lo, hi, vacuum_mod) =
        (List.filter_map Fun.id
           (List.mapi (fun i b -> if b then Some (string_of_int i) else None)
              (Array.to_list kept))))
-    lo hi vacuum_mod
+    lo hi vacuum_mod cut
+    (String.concat ";" (List.map string_of_int appends))
+
+(* The versions a vacuum with [vacuum_mod] reclaims: none at 0, every
+   one at 1, every other at 2, and all but every [vacuum_mod]-th above
+   that — enough to push directories past the compaction threshold. *)
+let vacuumed vacuum_mod (v : Heap.version) =
+  match vacuum_mod with
+  | 0 -> false
+  | 1 | 2 -> v.Heap.vid mod vacuum_mod = 0
+  | m -> v.Heap.vid mod m <> 0
 
 (* Both merged scans equal a filtered full scan, in vid order and in
    buffer-pool touches, for any layout, keep set and vid range, before
-   and after vacuum punches holes ([vacuum_mod] 0 and 1 vacuum nothing
-   and everything). *)
+   and after a vacuum pass punches holes and compacts directories.  A
+   lazy merge stays open across the pass: it is pulled [cut] versions
+   before it and, after versions are appended ([appends], by label id),
+   to its end.  It must emit each version exactly once: the ones it had
+   pulled, then the non-vacuumed versions past the last of those, where
+   an appended version counts only if its partition's cursor had not run
+   out (had a directory entry past that last version). *)
 let heap_merge_prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:300 ~name:"merged scans = filtered scan"
        (QCheck.make ~print:print_merge_case gen_merge_case)
-       (fun (_, lids, kept, lo, hi, vacuum_mod) ->
+       (fun (_, lids, kept, lo, hi, vacuum_mod, cut, appends) ->
          let h, bp = heap_of_lids lids in
          let keep lid = lid >= 0 && lid < Array.length kept && kept.(lid) in
          let kept_ids =
@@ -455,9 +482,117 @@ let heap_merge_prop =
            && lazy_whole = whole
          in
          let before = agree () in
-         if vacuum_mod > 0 then
-           ignore (punch h (fun v -> v.Heap.vid mod vacuum_mod = 0));
-         before && agree ()))
+         (* the merge open across the vacuum pass *)
+         let pull seq n =
+           let rec go seq n acc =
+             if n = 0 then (List.rev acc, seq)
+             else
+               match seq () with
+               | Seq.Nil -> (List.rev acc, Seq.empty)
+               | Seq.Cons (v, rest) -> go rest (n - 1) (v :: acc)
+           in
+           go seq n []
+         in
+         let (pulled, rest), touched_before =
+           touches bp (fun () -> pull (Heap.seq_merge h ~kept:kept_ids) cut)
+         in
+         let last =
+           List.fold_left (fun _ v -> v.Heap.vid) (-1) pulled
+         in
+         (* a partition's cursor is alive while its directory has an
+            entry past [last] *)
+         let alive lid =
+           keep lid
+           && Array.exists Fun.id
+                (Array.mapi (fun vid l -> l = lid && vid > last) lids)
+         in
+         ignore (vacuum_pass h (vacuumed vacuum_mod));
+         List.iter (fun lid -> ignore (insert_lid h lid)) appends;
+         let (resumed, _), touched_after =
+           touches bp (fun () -> pull rest max_int)
+         in
+         let expected =
+           pulled
+           @ List.filter
+               (fun v ->
+                 v.Heap.vid > last
+                 && (v.Heap.vid < Array.length lids
+                    || alive (Tuple.label_id v.Heap.tuple)))
+               (let acc = ref [] in
+                Heap.iter h (fun v ->
+                    if keep (Tuple.label_id v.Heap.tuple) then acc := v :: !acc);
+                List.rev !acc)
+         in
+         let page_changes vs =
+           fst
+             (List.fold_left
+                (fun (n, last) v ->
+                  if v.Heap.page <> last then (n + 1, v.Heap.page) else (n, last))
+                (0, -1) vs)
+         in
+         let emitted = pulled @ resumed in
+         before
+         && List.map (fun v -> v.Heap.vid) emitted
+            = List.map (fun v -> v.Heap.vid) expected
+         && touched_before + touched_after = page_changes emitted
+         && agree ()))
+
+(* Past the threshold, a vacuum pass leaves each partition it thinned
+   out with a directory of exactly its non-vacuumed versions; under the
+   ratio or the floor the vacuumed entries stay.  An emptied partition's
+   directory is emptied too, and refills from there. *)
+let test_vacuum_compacts_directories () =
+  (* label 0: 100 versions, 90 vacuumed (past the ratio); label 1: 100,
+     40 vacuumed (under it); label 2: 10, 9 vacuumed (under the floor);
+     label 3: 40, all vacuumed.  Round-robin, so directories interleave. *)
+  let counts = [| 100; 100; 10; 40 |] in
+  let lids =
+    Array.of_list
+      (List.concat
+         (List.init 100 (fun i ->
+              List.filter (fun lid -> i < counts.(lid)) [ 0; 1; 2; 3 ])))
+  in
+  let h, _ = heap_of_lids lids in
+  let rank = Array.make (Array.length lids) 0 in
+  let seen = Array.make 4 0 in
+  Array.iteri
+    (fun vid lid ->
+      rank.(vid) <- seen.(lid);
+      seen.(lid) <- seen.(lid) + 1)
+    lids;
+  let dead (v : Heap.version) =
+    let r = rank.(v.Heap.vid) in
+    match Tuple.label_id v.Heap.tuple with
+    | 0 -> r mod 10 <> 0
+    | 1 -> r mod 5 < 2
+    | 2 -> r > 0
+    | _ -> true
+  in
+  Alcotest.(check int) "reclaimed" (90 + 40 + 9 + 40) (vacuum_pass h dead);
+  let stats () =
+    List.map
+      (fun ps -> (ps.Heap.ps_lid, ps.Heap.ps_versions, ps.Heap.ps_directory))
+      (Heap.partition_stats h)
+  in
+  Alcotest.(check (list (triple int int int)))
+    "(label, versions, directory entries)"
+    [ (0, 10, 10); (1, 60, 100); (2, 1, 10) ]
+    (stats ());
+  (* the compacted directory still merges in vid order *)
+  let merged =
+    List.of_seq
+      (Seq.map (fun v -> v.Heap.vid) (Heap.seq_merge h ~kept:[| 0; 1; 2; 3 |]))
+  in
+  let scanned = ref [] in
+  Heap.iter h (fun v -> scanned := v.Heap.vid :: !scanned);
+  Alcotest.(check (list int)) "merge = scan" (List.rev !scanned) merged;
+  for _ = 1 to 5 do
+    ignore (insert_lid h 3)
+  done;
+  Alcotest.(check (list (triple int int int)))
+    "the emptied partition refills from an empty directory"
+    [ (0, 10, 10); (1, 60, 100); (2, 1, 10); (3, 5, 5) ]
+    (stats ())
 
 (* [seq_merge] stays lazy: the first version of a 60k-version heap in 64
    interleaved partitions costs one page, not a pass over the heap. *)
@@ -813,6 +948,8 @@ let suites =
         Alcotest.test_case "iter & vacuum" `Quick test_heap_iter_vacuum;
         Alcotest.test_case "label partitions" `Quick test_heap_partitions;
         heap_merge_prop;
+        Alcotest.test_case "vacuum compacts partition directories" `Quick
+          test_vacuum_compacts_directories;
         Alcotest.test_case "seq_merge is lazy" `Quick test_seq_merge_lazy;
       ] );
     ( "storage.btree",
